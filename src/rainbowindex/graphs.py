@@ -305,12 +305,27 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 def graph_from_json_dict(obj: dict) -> Graph:
     """Parse ``{"n": int, "edges": [[u, v], ...]}``; file order defines
-    edge indices."""
-    try:
-        n = int(obj["n"])
-        pairs = obj["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph object: {exc}") from exc
+    edge indices.  JSON types are checked exactly: a bool, float or
+    string is not an integer, and an edge has exactly two endpoints."""
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise ValueError("malformed graph object: need keys 'n' and 'edges'")
+    n, pairs = obj["n"], obj["edges"]
+    if type(n) is not int:
+        raise ValueError(f"malformed graph object: n must be an integer, got {n!r}")
+    if not isinstance(pairs, list):
+        raise ValueError(
+            f"malformed graph object: edges must be a list, got {type(pairs).__name__}"
+        )
+    for pair in pairs:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and type(pair[1]) is int
+        ):
+            raise ValueError(
+                f"malformed graph object: edge {pair!r} is not a pair of integers"
+            )
     return build_graph(n, pairs)
 
 

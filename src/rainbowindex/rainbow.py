@@ -6,13 +6,13 @@ rainbow tree iff some center vertex admits pairwise color-disjoint reach
 sets to the three terminals: the union of such paths repeats no color,
 so any spanning tree of it is a rainbow tree through the set.
 
-Color sets are bitmasks over a bounded palette (default bound 32,
-widenable per call).  The reach search also accepts edges with color
-None, treated as bearing a color unique to that edge: masks then track
-only the concrete colors, which is equivalent because an edge never
-repeats inside a path and two paths sharing such an edge still form an
-all-distinct-colors union.  The exact solver uses this for its
-optimistic partial-coloring checks.
+Color sets are bitmasks held in Python ints, so any palette size
+works.  The reach search also accepts edges with color None, treated as
+bearing a color unique to that edge: masks then track only the concrete
+colors, which is equivalent because an edge never repeats inside a path
+and two paths sharing such an edge still form an all-distinct-colors
+union.  The exact solver uses this for its optimistic partial-coloring
+checks, which share one triple-scan engine with the checker.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, is_connected
-
-DEFAULT_PALETTE_BOUND = 32
 
 
 @dataclass(frozen=True)
@@ -66,26 +64,26 @@ def coloring_to_json_dict(c: EdgeColoring) -> dict:
 
 
 def coloring_from_json_dict(obj: dict) -> EdgeColoring:
-    try:
-        palette = int(obj["palette"])
-        colors = tuple(int(x) for x in obj["colors"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed coloring object: {exc}") from exc
-    return EdgeColoring(colors, palette)
+    """Parse ``{"palette": int, "colors": [int, ...]}``, checking JSON
+    types exactly: a bool, float or string is not an integer."""
+    if not isinstance(obj, dict) or "palette" not in obj or "colors" not in obj:
+        raise ValueError("malformed coloring object: need keys 'palette' and 'colors'")
+    palette, colors = obj["palette"], obj["colors"]
+    if type(palette) is not int:
+        raise ValueError(
+            f"malformed coloring object: palette must be an integer, got {palette!r}"
+        )
+    if not isinstance(colors, list) or any(type(x) is not int for x in colors):
+        raise ValueError(
+            "malformed coloring object: colors must be a list of integers"
+        )
+    return EdgeColoring(tuple(colors), palette)
 
 
 def _require_match(g: Graph, coloring: EdgeColoring) -> None:
     if len(coloring.colors) != g.m:
         raise ValueError(
             f"coloring length {len(coloring.colors)} does not match edge count {g.m}"
-        )
-
-
-def _check_palette(palette_size: int, palette_bound: int) -> None:
-    if palette_size > palette_bound:
-        raise ValueError(
-            f"palette {palette_size} exceeds bound {palette_bound}; "
-            "pass a larger palette_bound to widen"
         )
 
 
@@ -140,8 +138,9 @@ def _reach(
             if record_preds and (w, nm) not in preds:
                 preds[(w, nm)] = (v, mask, e)
             queue.append((w, nm))
-    for t in range(g.n):
-        fams[t].sort(key=lambda x: (bin(x).count("1"), x))
+    for fam in fams:
+        if len(fam) > 1:
+            fam.sort(key=lambda x: (x.bit_count(), x))
     return fams, preds
 
 
@@ -149,12 +148,10 @@ def rainbow_reach(
     g: Graph,
     coloring: EdgeColoring,
     source: int,
-    palette_bound: int = DEFAULT_PALETTE_BOUND,
 ) -> list[list[int]]:
     """Per target vertex, the antichain of minimal color sets (as
     bitmasks) achievable by rainbow paths from ``source``."""
     _require_match(g, coloring)
-    _check_palette(coloring.palette_size, palette_bound)
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
     fams, _ = _reach(g, coloring.colors, source)
@@ -191,7 +188,6 @@ def find_rainbow_tree(
     g: Graph,
     coloring: EdgeColoring,
     terminals: Iterable[int],
-    palette_bound: int = DEFAULT_PALETTE_BOUND,
 ) -> Optional[tuple[int, ...]]:
     """Edge indices of some rainbow tree containing the 3-set, or None.
 
@@ -199,7 +195,6 @@ def find_rainbow_tree(
     increasing cardinality, so the witness is deterministic.
     """
     _require_match(g, coloring)
-    _check_palette(coloring.palette_size, palette_bound)
     s = sorted(set(int(v) for v in terminals))
     if len(s) != 3:
         raise ValueError(f"need exactly 3 distinct vertices, got {s}")
@@ -249,15 +244,75 @@ def has_rainbow_tree(
     g: Graph,
     coloring: EdgeColoring,
     terminals: Iterable[int],
-    palette_bound: int = DEFAULT_PALETTE_BOUND,
 ) -> bool:
     """True iff some rainbow tree contains the given 3-set."""
-    return find_rainbow_tree(g, coloring, terminals, palette_bound) is not None
+    return find_rainbow_tree(g, coloring, terminals) is not None
 
 
 # ---------------------------------------------------------------------------
 # Whole-graph verdicts
 # ---------------------------------------------------------------------------
+
+def _first_bad_triple(
+    g: Graph,
+    colors: Sequence[Optional[int]],
+    order: Iterable[tuple[int, int, int]],
+) -> Optional[tuple[int, int, int]]:
+    """First triple of ``order`` with no rainbow tree, or None.
+
+    Reach rows are computed when a triple first needs them.  Bit x of
+    ``centers(a, b)`` says that some mask of fams[a][x] is disjoint from
+    some mask of fams[b][x].  A tree at center x needs that for all three
+    pairs of the triple, so only the centers in the intersection are
+    tried, in ascending order, and a pair with no center settles the
+    triple before the remaining pairs are built.
+    """
+    n = g.n
+    rows: list[Optional[list[list[int]]]] = [None] * n
+    pairs: dict[int, int] = {}
+
+    def reach_row(v: int) -> list[list[int]]:
+        row = rows[v]
+        if row is None:
+            row = rows[v] = _reach(g, colors, v)[0]
+        return row
+
+    def centers(a: int, b: int) -> int:
+        key = a * n + b
+        bits = pairs.get(key)
+        if bits is None:
+            fa, fb = reach_row(a), reach_row(b)
+            bits = 0
+            for x in range(n):
+                fbx = fb[x]
+                for ma in fa[x]:
+                    for mb in fbx:
+                        if not ma & mb:
+                            break
+                    else:
+                        continue
+                    bits |= 1 << x
+                    break
+            pairs[key] = bits
+        return bits
+
+    for a, b, c in order:
+        common = centers(a, b)
+        if common:
+            common &= centers(a, c)
+        if common:
+            common &= centers(b, c)
+        fa, fb, fc = rows[a], rows[b], rows[c]
+        while common:
+            low = common & -common
+            x = low.bit_length() - 1
+            if _disjoint_triple(fa[x], fb[x], fc[x]):
+                break
+            common ^= low
+        else:
+            return (a, b, c)
+    return None
+
 
 def _scan_triples(
     g: Graph,
@@ -267,16 +322,9 @@ def _scan_triples(
 ) -> Optional[tuple[int, int, int]]:
     """First triple in the lexicographic slice [start, stop) with no
     rainbow tree, or None."""
-    fams = [_reach(g, colors, v)[0] for v in range(g.n)]
-    for a, b, c in islice(combinations(range(g.n), 3), start, stop):
-        found = False
-        for center in range(g.n):
-            if _disjoint_triple(fams[a][center], fams[b][center], fams[c][center]):
-                found = True
-                break
-        if not found:
-            return (a, b, c)
-    return None
+    return _first_bad_triple(
+        g, colors, islice(combinations(range(g.n), 3), start, stop)
+    )
 
 
 def _scan_pairs(
@@ -300,7 +348,6 @@ def is_k_rainbow(
     coloring: EdgeColoring,
     k: int,
     jobs: int = 1,
-    palette_bound: int = DEFAULT_PALETTE_BOUND,
 ) -> Verdict:
     """Check that every k-set of vertices has a rainbow tree (k=2 means a
     rainbow path, i.e. rainbow connectivity).
@@ -311,7 +358,6 @@ def is_k_rainbow(
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
     _require_match(g, coloring)
-    _check_palette(coloring.palette_size, palette_bound)
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")
     if k == 2:
@@ -341,22 +387,13 @@ def partial_failure(
     triple_order: Optional[Sequence[tuple[int, int, int]]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Optimistic check for a partially colored graph: edges with color
-    None count as uniquely colored.  Returns some set with no rainbow
-    tree even under that relaxation, or None if all sets pass.
+    None count as uniquely colored.  Returns the first set with no
+    rainbow tree even under that relaxation, or None if all sets pass.
 
-    Unlike is_k_rainbow this makes no promise about which failing set is
-    reported; callers (the solver's pruning) only need existence.
+    For k=3 "first" means first in ``triple_order`` (lexicographic order
+    when None); for k=2 it is the lexicographically first pair.
     """
     if k == 2:
         return _scan_pairs(g, colors)
-    fams = [_reach(g, colors, v)[0] for v in range(g.n)]
     order = triple_order if triple_order is not None else combinations(range(g.n), 3)
-    for a, b, c in order:
-        found = False
-        for center in range(g.n):
-            if _disjoint_triple(fams[a][center], fams[b][center], fams[c][center]):
-                found = True
-                break
-        if not found:
-            return (a, b, c)
-    return None
+    return _first_bad_triple(g, colors, order)

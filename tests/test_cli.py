@@ -131,6 +131,43 @@ def test_input_errors_exit_4(tmp_path, capsys):
     assert "--cg" in json.loads(err.strip().splitlines()[-1])["detail"]
 
 
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--graph", '{"n": 3, "edges": "01"}'),
+        ("--graph", '{"n": 3, "edges": [[0, true], [1, 2]]}'),
+        ("--graph", '{"n": 3, "edges": [[0, 1], [1.7, 2]]}'),
+        ("--graph", '{"n": 3, "edges": [["0", 1], [1, 2]]}'),
+        ("--graph", '{"n": 3, "edges": [[0, 1, 2], [1, 2]]}'),
+        ("--graph", '{"n": 3.0, "edges": [[0, 1], [1, 2]]}'),
+        ("--coloring", '{"palette": 2.9, "colors": [0, 1]}'),
+        ("--coloring", '{"palette": "2", "colors": [0, 1]}'),
+        ("--coloring", '{"palette": 2, "colors": "01"}'),
+        ("--coloring", '{"palette": 2, "colors": ["0", "1"]}'),
+    ],
+)
+def test_malformed_json_exits_4(tmp_path, capsys, flag, text):
+    g, c = tmp_path / "g.json", tmp_path / "c.json"
+    g.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+    c.write_text('{"palette": 2, "colors": [0, 1]}')
+    (g if flag == "--graph" else c).write_text(text)
+    code, _, err = run(capsys, "verify", "--graph", str(g), "--coloring", str(c))
+    assert code == 4
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    if flag == "--graph":
+        code, _, err = run(capsys, "sdiam", "--graph", str(g))
+        assert code == 4 and "Traceback" not in err
+
+
+def test_verify_palette_over_32(tmp_path, capsys):
+    g, c = tmp_path / "p40.json", tmp_path / "c.json"
+    run(capsys, "gen", "--family", "path", "--n", "40", "-o", str(g))
+    c.write_text(json.dumps({"palette": 39, "colors": list(range(39))}))
+    code, out, _ = run(capsys, "verify", "--graph", str(g), "--coloring", str(c))
+    assert code == 0 and json.loads(out)["ok"]
+
+
 def test_color_split_and_subdiv(tmp_path, capsys):
     g = tmp_path / "c4.json"
     w = tmp_path / "w.json"

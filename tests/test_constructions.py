@@ -65,7 +65,8 @@ def test_cartesian_rejects_bad_operand_coloring():
 
 
 def test_grid_colorings():
-    for dims, want in [((4, 3), 5), ((2, 2), 2), ((3, 3), 4)]:
+    # (34, 2) needs 34 colors: no palette bound may reject it
+    for dims, want in [((4, 3), 5), ((2, 2), 2), ((3, 3), 4), ((34, 2), 34)]:
         report = grid_coloring(dims)
         assert report.ok
         assert report.colors_used == want

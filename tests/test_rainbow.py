@@ -36,6 +36,19 @@ def masks_to_sets(masks):
     )
 
 
+def materialize_fresh(colors, palette):
+    """The total coloring that gives each None edge its own new color."""
+    materialized = []
+    fresh = palette
+    for c in colors:
+        if c is None:
+            materialized.append(fresh)
+            fresh += 1
+        else:
+            materialized.append(c)
+    return EdgeColoring(tuple(materialized), fresh)
+
+
 def test_coloring_validation_and_json():
     c = EdgeColoring((0, 2, 1), 3)
     assert coloring_from_json_dict(coloring_to_json_dict(c)) == c
@@ -89,10 +102,8 @@ def test_reach_is_antichain():
 def test_reach_errors():
     with pytest.raises(ValueError):
         rainbow_reach(path(3), EdgeColoring((0,), 1), 0)  # length mismatch
-    with pytest.raises(ValueError):
-        rainbow_reach(path(3), EdgeColoring((0, 1), 40), 0)  # palette bound
-    # configurable widening
-    fams = rainbow_reach(path(3), EdgeColoring((0, 39), 40), 0, palette_bound=64)
+    # no palette bound: masks are Python ints
+    fams = rainbow_reach(path(3), EdgeColoring((0, 39), 40), 0)
     assert fams[2] == [(1 << 0) | (1 << 39)]
 
 
@@ -160,6 +171,20 @@ def test_k2_short_circuit():
     assert is_k_rainbow(path(3), EdgeColoring((0, 1), 2), 2).ok
 
 
+def test_is_k_rainbow_wide_masks_match_brute_oracle():
+    # colors above 64: masks no longer fit one machine word
+    rng = random.Random(43)
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randrange(3, 7), rng.randrange(5))
+        high = rng.sample(range(64, 100), rng.randrange(2, 5))
+        c = EdgeColoring(tuple(rng.choice(high) for _ in range(g.m)), 100)
+        want = covered_triples(g, c)
+        bad = [s for s in combinations(range(g.n), 3) if s not in want]
+        verdict = is_k_rainbow(g, c, 3)
+        assert verdict.ok == (not bad)
+        assert verdict.failing == (bad[0] if bad else None)
+
+
 def test_jobs_deterministic():
     g = cycle(6)
     good = EdgeColoring((0, 1, 2, 3, 0, 1), 4)
@@ -168,6 +193,21 @@ def test_jobs_deterministic():
         v1 = is_k_rainbow(g, c, 3, jobs=1)
         v2 = is_k_rainbow(g, c, 3, jobs=2)
         assert v1 == v2
+
+
+def test_jobs_match_when_first_failure_is_in_second_slice():
+    # jobs=2 splits the 120 triples of 10 vertices into [0, 60) and [60, 120)
+    rng = random.Random(7)
+    triples = list(combinations(range(10), 3))
+    checked = 0
+    while checked < 3:
+        g = random_connected_graph(rng, 10, rng.randrange(4, 12))
+        c = random_coloring(rng, g.m, rng.randrange(4, 7))
+        v1 = is_k_rainbow(g, c, 3, jobs=1)
+        if v1.ok or triples.index(v1.failing) < len(triples) // 2:
+            continue
+        assert is_k_rainbow(g, c, 3, jobs=2) == v1
+        checked += 1
 
 
 def test_is_k_rainbow_errors():
@@ -225,16 +265,29 @@ def test_partial_failure_matches_materialized_fresh_colors():
             rng.randrange(palette) if rng.random() < 0.6 else None
             for _ in range(g.m)
         ]
-        fresh = palette
-        materialized = []
-        for c in colors:
-            if c is None:
-                materialized.append(fresh)
-                fresh += 1
-            else:
-                materialized.append(c)
-        full = EdgeColoring(tuple(materialized), fresh)
+        full = materialize_fresh(colors, palette)
         for k in (2, 3):
             relaxed = partial_failure(g, colors, k)
             exact = is_k_rainbow(g, full, k)
             assert (relaxed is None) == exact.ok
+
+
+def test_partial_failure_returns_first_failing_triple_of_order():
+    rng = random.Random(67)
+    failures = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randrange(3, 7), rng.randrange(4))
+        palette = rng.randrange(1, 4)
+        colors = [
+            rng.randrange(palette) if rng.random() < 0.6 else None
+            for _ in range(g.m)
+        ]
+        full = materialize_fresh(colors, palette)
+        order = list(combinations(range(g.n), 3))
+        rng.shuffle(order)
+        want = next(
+            (s for s in order if not has_rainbow_tree_brute(g, full, s)), None
+        )
+        assert partial_failure(g, colors, 3, order) == want
+        failures += want is not None
+    assert failures > 5

@@ -120,7 +120,7 @@ def test_budget_exhaustion_is_explicit():
     assert res.value is None
     assert res.lower <= 4 <= res.upper  # true value stays inside the bracket
     assert res.witness is not None
-    assert is_k_rainbow(g, res.witness, 3, palette_bound=res.witness.palette_size).ok
+    assert is_k_rainbow(g, res.witness, 3).ok
     assert res.nodes_explored >= 3
 
 
