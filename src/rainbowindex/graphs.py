@@ -10,6 +10,7 @@ provenance back to the operands so colorings can be transported.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,7 +77,10 @@ def build_graph(n: int, edge_pairs: Iterable[Sequence[int]]) -> Graph:
     seen: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int]] = []
     for pair in edge_pairs:
-        u, v = int(pair[0]), int(pair[1])
+        try:
+            u, v = operator.index(pair[0]), operator.index(pair[1])
+        except TypeError:
+            raise ValueError(f"edge endpoints must be integers: {pair!r}") from None
         if u == v:
             raise ValueError(f"self-loop rejected: ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, is_connected
@@ -338,11 +338,6 @@ def _scan_pairs(
     return None
 
 
-def _scan_triples_job(args) -> Optional[tuple[int, int, int]]:
-    g, colors, start, stop = args
-    return _scan_triples(g, colors, start, stop)
-
-
 def is_k_rainbow(
     g: Graph,
     coloring: EdgeColoring,
@@ -368,11 +363,9 @@ def is_k_rainbow(
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = [total * i // jobs for i in range(jobs + 1)]
-        tasks = [
-            (g, coloring.colors, bounds[i], bounds[i + 1]) for i in range(jobs)
-        ]
+        slices = (repeat(g), repeat(coloring.colors), bounds[:-1], bounds[1:])
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_triples_job, tasks))
+            results = list(pool.map(_scan_triples, *slices))
         failures = [r for r in results if r is not None]
         bad = min(failures) if failures else None
     else:

@@ -14,13 +14,12 @@ palettes were exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil
 from typing import Optional
 
 from .graphs import Graph, is_connected
 from .rainbow import EdgeColoring, partial_failure
-from .steiner import all_pairs_distances, diameter, sdiam3
+from .steiner import diameter, sdiam3, triples_by_steiner_desc
 
 DEFAULT_BUDGET = 10**8
 
@@ -98,17 +97,6 @@ def canonicalize_colors(colors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _hard_triples_first(g: Graph) -> list[tuple[int, int, int]]:
-    """Triples sorted by decreasing Steiner distance: the hardest sets
-    fail first, so pruning checks exit early."""
-    if g.n < 3:
-        return []
-    d = all_pairs_distances(g)
-    trips = list(combinations(range(g.n), 3))
-    trips.sort(key=lambda t: -(d[t[0]] + d[t[1]] + d[t[2]]).min())
-    return trips
-
-
 def _search_palette(
     g: Graph,
     k: int,
@@ -177,7 +165,7 @@ def rx_exact(
 
     lb = max(1, lower_bound(g, k))
     order = bfs_edge_order(g)
-    triple_order = _hard_triples_first(g) if k == 3 else []
+    triple_order = triples_by_steiner_desc(g) if k == 3 else []
     counter = [0]
     proven = lb
     for c in range(lb, g.m + 1):

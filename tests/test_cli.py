@@ -229,6 +229,15 @@ def test_sdiam_records(tmp_path, capsys):
     assert json.loads("".join(lines[len(triples):]))["sdiam3"] == 4
 
 
+def test_sdiam_records_disconnected_exits_4(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')
+    code, out, err = run(capsys, "sdiam", "--graph", str(g), "--triples")
+    assert code == 4 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(
         capsys, "oracle", "--family", "complete_bipartite", "--s", "2", "--t", "9"

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from rainbowindex import (
@@ -46,6 +47,16 @@ def test_build_rejects_self_loop_and_range():
         build_graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         build_graph(2, [(-1, 0)])
+
+
+def test_build_rejects_non_integral_endpoints():
+    with pytest.raises(ValueError, match="integers"):
+        build_graph(3, [(0, 1.7)])
+    with pytest.raises(ValueError, match="integers"):
+        build_graph(3, [("0", 1)])
+    # numpy integers are integral, so they are accepted
+    g = build_graph(3, [(np.int64(0), np.int32(2))])
+    assert g.edges == ((0, 2),) and type(g.edges[0][1]) is int
 
 
 def test_build_dedup_keeps_first_index():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ from rainbowindex import (
     sdiam3,
     steiner_distance_3,
 )
+from rainbowindex.steiner import steiner_records, triples_by_steiner_desc
 
 from oracles import random_connected_graph, sdiam3_brute, steiner_brute
 
@@ -121,6 +123,24 @@ def test_sdiam3_matches_brute():
     for _ in range(10):
         g = random_connected_graph(rng, rng.randrange(3, 8), rng.randrange(4))
         assert sdiam3(g) == sdiam3_brute(g)
+        records = steiner_records(g)
+        assert [r["triple"] for r in records] == [
+            list(t) for t in combinations(range(g.n), 3)
+        ]
+        for r in records:
+            assert type(r["d"]) is int
+            assert r["d"] == steiner_brute(g, r["triple"])
+
+
+def test_triples_by_steiner_desc_matches_stable_brute_sort():
+    rng = random.Random(37)
+    for _ in range(10):
+        g = random_connected_graph(rng, rng.randrange(3, 8), rng.randrange(4))
+        expected = sorted(
+            combinations(range(g.n), 3), key=lambda t: -steiner_brute(g, t)
+        )
+        assert triples_by_steiner_desc(g) == expected
+    assert triples_by_steiner_desc(path(2)) == []
 
 
 def test_sdiam3_errors():
@@ -128,6 +148,19 @@ def test_sdiam3_errors():
         sdiam3(path(2))
     with pytest.raises(ValueError):
         sdiam3(build_graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError):
+        steiner_records(build_graph(4, [(0, 1), (2, 3)]))
+
+
+def test_sdiam3_memory_stays_quadratic():
+    # a dense n^3 table of C150 would need about 27 MB of float64
+    tracemalloc.start()
+    try:
+        assert sdiam3(cycle(150)) == 100
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sdiam3_additive_under_cartesian():
