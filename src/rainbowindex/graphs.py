@@ -93,6 +93,22 @@ def build_graph(n: int, edge_pairs: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def vertex_triple(g: Graph, vertices: Iterable[int]) -> tuple[int, int, int]:
+    """The 3-set ``vertices`` of g in ascending order.  Each vertex must
+    be an integer (``operator.index``: numpy integers pass, floats and
+    strings do not) in range, and exactly three must be distinct."""
+    try:
+        s = sorted({operator.index(v) for v in vertices})
+    except TypeError:
+        raise ValueError(f"vertices must be integers: {vertices!r}") from None
+    if len(s) != 3:
+        raise ValueError(f"need exactly 3 distinct vertices, got {s}")
+    for v in s:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range [0, {g.n})")
+    return s[0], s[1], s[2]
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has exactly one connected component (K_1 counts)."""
     if g.n == 0:

@@ -3,14 +3,14 @@
 The engine computes, per (source, target) pair, the antichain of
 inclusion-minimal color sets realizable by rainbow paths.  A 3-set has a
 rainbow tree iff some center vertex admits pairwise color-disjoint reach
-sets to the three terminals: the union of such paths repeats no color,
+sets to the three terminals: the union of such paths uses no color twice,
 so any spanning tree of it is a rainbow tree through the set.
 
 Color sets are bitmasks held in Python ints, so any palette size
 works.  The reach search also accepts edges with color None, treated as
 bearing a color unique to that edge: masks then track only the concrete
-colors, which is equivalent because an edge never repeats inside a path
-and two paths sharing such an edge still form an all-distinct-colors
+colors, which is equivalent because an edge appears at most once in a
+path, and two paths sharing such an edge still form an all-distinct-colors
 union.  The exact solver uses this for its optimistic partial-coloring
 checks, which share one triple-scan engine with the checker.
 """
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_connected, vertex_triple
 
 
 @dataclass(frozen=True)
@@ -195,13 +195,7 @@ def find_rainbow_tree(
     increasing cardinality, so the witness is deterministic.
     """
     _require_match(g, coloring)
-    s = sorted(set(int(v) for v in terminals))
-    if len(s) != 3:
-        raise ValueError(f"need exactly 3 distinct vertices, got {s}")
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    a, b, c = s
+    s = a, b, c = vertex_triple(g, terminals)
     reach = {}
     pred = {}
     for v in s:
@@ -314,19 +308,6 @@ def _first_bad_triple(
     return None
 
 
-def _scan_triples(
-    g: Graph,
-    colors: Sequence[Optional[int]],
-    start: int,
-    stop: Optional[int],
-) -> Optional[tuple[int, int, int]]:
-    """First triple in the lexicographic slice [start, stop) with no
-    rainbow tree, or None."""
-    return _first_bad_triple(
-        g, colors, islice(combinations(range(g.n), 3), start, stop)
-    )
-
-
 def _scan_pairs(
     g: Graph, colors: Sequence[Optional[int]]
 ) -> Optional[tuple[int, int]]:
@@ -342,13 +323,11 @@ def is_k_rainbow(
     g: Graph,
     coloring: EdgeColoring,
     k: int,
-    jobs: int = 1,
 ) -> Verdict:
     """Check that every k-set of vertices has a rainbow tree (k=2 means a
     rainbow path, i.e. rainbow connectivity).
 
-    The failing verdict carries the lexicographically first bad set,
-    independent of ``jobs``.
+    The failing verdict carries the lexicographically first bad set.
     """
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
@@ -357,19 +336,8 @@ def is_k_rainbow(
         raise ValueError("k-rainbow checking requires a connected graph")
     if k == 2:
         bad = _scan_pairs(g, coloring.colors)
-        return Verdict(bad is None, bad)
-    total = g.n * (g.n - 1) * (g.n - 2) // 6
-    if jobs > 1 and total >= 64:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        slices = (repeat(g), repeat(coloring.colors), bounds[:-1], bounds[1:])
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_triples, *slices))
-        failures = [r for r in results if r is not None]
-        bad = min(failures) if failures else None
     else:
-        bad = _scan_triples(g, coloring.colors, 0, None)
+        bad = _first_bad_triple(g, coloring.colors, combinations(range(g.n), 3))
     return Verdict(bad is None, bad)
 
 

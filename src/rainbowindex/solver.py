@@ -35,8 +35,8 @@ class SolveResult:
     When exact, ``value`` is the index and ``witness`` a verified
     coloring achieving it.  On budget exhaustion ``value`` is None and
     [lower, upper] brackets the index: lower counts the palettes proven
-    infeasible, upper comes from the trivial all-distinct coloring (or a
-    caller-supplied bound), and ``witness`` is that fallback coloring.
+    infeasible, upper comes from the trivial all-distinct coloring, and
+    ``witness`` is that fallback coloring.
     """
 
     value: Optional[int]
@@ -147,17 +147,19 @@ def rx_exact(
     g: Graph,
     k: int = 3,
     budget: int = DEFAULT_BUDGET,
-    known_upper: Optional[int] = None,
 ) -> SolveResult:
     """Exact k-rainbow index with a witness coloring.
 
     Iterative deepening over the palette size starting at the Steiner
     lower bound; always terminates at palette m, where the all-distinct
     coloring makes every tree rainbow.  A graph too small to have any
-    k-set is vacuously colorable with one color.
+    k-set is vacuously colorable with one color.  ``budget`` caps the
+    search nodes; it must be nonnegative.
     """
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if not is_connected(g):
         raise ValueError("rx_exact requires a connected graph")
     if g.m == 0:
@@ -172,10 +174,9 @@ def rx_exact(
         try:
             found = _search_palette(g, k, c, order, triple_order, counter, budget)
         except BudgetExhausted:
-            upper = min(known_upper, g.m) if known_upper is not None else g.m
             fallback = EdgeColoring(tuple(range(g.m)), g.m)
             return SolveResult(
-                None, fallback, counter[0], lb, False, proven, upper
+                None, fallback, counter[0], lb, False, proven, g.m
             )
         if found is not None:
             witness = EdgeColoring(tuple(found), c)

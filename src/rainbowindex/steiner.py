@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_connected, vertex_triple
 
 
 def bfs_distances(g: Graph, source: int) -> list[float]:
@@ -84,12 +84,7 @@ def steiner_distance_3(g: Graph, terminals: Iterable[int]) -> SteinerResult:
     smallest-parent shortest-path tree from the center, so outputs are
     reproducible.
     """
-    s = sorted(set(int(v) for v in terminals))
-    if len(s) != 3:
-        raise ValueError(f"need exactly 3 distinct terminals, got {s}")
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"terminal {v} out of range")
+    s = vertex_triple(g, terminals)
     if not is_connected(g):
         raise ValueError("Steiner distance requires a connected graph")
 

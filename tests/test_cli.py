@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -80,16 +81,23 @@ def test_verify_failing_exits_2(tmp_path, capsys):
     assert verdict["failing"] is not None and len(verdict["failing"]) == 3
 
 
-def test_verify_jobs_match(tmp_path, capsys):
+def test_verify_jobs_match(tmp_path, capsys, monkeypatch):
+    # --jobs is accepted and ignored: no process pool is started, even on
+    # C10's 120 triples
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     g = tmp_path / "g.json"
-    c = tmp_path / "c.json"
-    run(capsys, "gen", "--family", "cycle", "--n", "6", "-o", str(g))
-    c.write_text(json.dumps({"palette": 2, "colors": [0, 1, 0, 1, 0, 1]}))
-    code1, out1, _ = run(capsys, "verify", "--graph", str(g), "--coloring", str(c))
-    code2, out2, _ = run(
-        capsys, "verify", "--graph", str(g), "--coloring", str(c), "--jobs", "2"
-    )
-    assert (code1, out1) == (code2, out2)
+    run(capsys, "gen", "--family", "cycle", "--n", "10", "-o", str(g))
+    for colors in ([0, 1, 2, 3, 4, 0, 1, 2, 3, 4], [0, 1] * 5):
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps({"palette": 5, "colors": colors}))
+        code1, out1, _ = run(capsys, "verify", "--graph", str(g), "--coloring", str(c))
+        code4, out4, _ = run(
+            capsys, "verify", "--graph", str(g), "--coloring", str(c), "--jobs", "4"
+        )
+        assert (code4, out4) == (code1, out1)
 
 
 def test_solve_budget_exit_3(tmp_path, capsys):
@@ -121,6 +129,12 @@ def test_input_errors_exit_4(tmp_path, capsys):
 
     code, _, _ = run(capsys, "solve", "--graph", str(tmp_path / "missing.json"))
     assert code == 4
+
+    p4 = tmp_path / "p4.json"
+    run(capsys, "gen", "--family", "path", "--n", "4", "-o", str(p4))
+    code, out, err = run(capsys, "solve", "--graph", str(p4), "--budget", "-5")
+    assert code == 4 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
 
     code, _, err = run(capsys, "gen", "--family", "moebius", "--n", "4")
     assert code == 4

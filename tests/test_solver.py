@@ -122,6 +122,8 @@ def test_budget_exhaustion_is_explicit():
     assert res.witness is not None
     assert is_k_rainbow(g, res.witness, 3).ok
     assert res.nodes_explored >= 3
+    with pytest.raises(ValueError):
+        rx_exact(g, 3, budget=-1)
 
 
 def test_vacuous_and_trivial_graphs():

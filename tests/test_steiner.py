@@ -62,6 +62,10 @@ def test_steiner_errors():
         steiner_distance_3(path(5), [0, 1])
     with pytest.raises(ValueError):
         steiner_distance_3(path(5), [0, 1, 1])
+    for terminals in ([0, 2.9, 4], ["0", 2, 4], [0, 2, 5]):
+        with pytest.raises(ValueError):
+            steiner_distance_3(path(5), terminals)
+    assert steiner_distance_3(path(5), np.array([4, 0, 2])).value == 4
     with pytest.raises(ValueError):
         steiner_distance_3(build_graph(4, [(0, 1), (2, 3)]), [0, 1, 2])
 
