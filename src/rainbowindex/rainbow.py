@@ -13,6 +13,12 @@ colors, which is equivalent because an edge appears at most once in a
 path, and two paths sharing such an edge still form an all-distinct-colors
 union.  The exact solver uses this for its optimistic partial-coloring
 checks, which share one triple-scan engine with the checker.
+
+The reach search finds masks in order of size: all masks with p colors
+(closed over the uncolored edges first) before any with p + 1.  A mask
+is kept only if no mask already found at its vertex is a subset of it,
+and since no smaller mask can come later, a kept mask is never removed
+and no family is ever rebuilt.
 """
 
 from __future__ import annotations
@@ -104,43 +110,62 @@ def _reach(
     families[t] is the list of minimal masks of rainbow paths source->t,
     sorted by (popcount, value); preds maps (vertex, mask) to
     (prev_vertex, prev_mask, edge) for path reconstruction.
+
+    The search runs level by level: level p holds the states whose mask
+    has p colors.  A level is first closed over uncolored edges (the
+    mask stays, so the new states join the same level), and only then
+    are the level-(p+1) masks inserted over colored edges, in the order
+    the states and their edges come.  Every family member therefore has
+    at most as many colors as a mask being inserted, so a new mask is
+    either dominated by a member or incomparable to all of them: nothing
+    is ever removed, and every state found is expanded.  On a total
+    coloring this is the breadth-first order, one color per step.
     """
+    incidence = g.incidence
     fams: list[list[int]] = [[] for _ in range(g.n)]
     fams[source] = [0]
     preds: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
     if record_preds:
         preds[(source, 0)] = None
-    queue: deque[tuple[int, int]] = deque([(source, 0)])
-    incidence = g.incidence
-    while queue:
-        v, mask = queue.popleft()
-        if mask not in fams[v]:
-            continue  # dominated after being queued
-        for e, w in incidence[v]:
-            c = colors[e]
-            if c is None:
-                nm = mask
-            else:
+    level = [(source, 0)]
+    while level:
+        for v, mask in level:  # the level grows while it is closed
+            for e, w in incidence[v]:
+                if colors[e] is not None:
+                    continue
+                fw = fams[w]
+                for x in fw:
+                    if x & mask == x:
+                        break
+                else:
+                    fw.append(mask)
+                    if record_preds:
+                        preds[(w, mask)] = (v, mask, e)
+                    level.append((w, mask))
+        nxt = []
+        for v, mask in level:
+            for e, w in incidence[v]:
+                c = colors[e]
+                if c is None:
+                    continue
                 bit = 1 << c
                 if mask & bit:
                     continue
                 nm = mask | bit
-            fw = fams[w]
-            dominated = False
-            for x in fw:
-                if x & nm == x:
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            fams[w] = [x for x in fw if nm & x != nm]
-            fams[w].append(nm)
-            if record_preds and (w, nm) not in preds:
-                preds[(w, nm)] = (v, mask, e)
-            queue.append((w, nm))
+                fw = fams[w]
+                for x in fw:
+                    if x & nm == x:
+                        break
+                else:
+                    fw.append(nm)
+                    if record_preds:
+                        preds[(w, nm)] = (v, mask, e)
+                    nxt.append((w, nm))
+        level = nxt
     for fam in fams:
         if len(fam) > 1:
-            fam.sort(key=lambda x: (x.bit_count(), x))
+            fam.sort()
+            fam.sort(key=int.bit_count)
     return fams, preds
 
 
@@ -345,7 +370,7 @@ def partial_failure(
     g: Graph,
     colors: Sequence[Optional[int]],
     k: int,
-    triple_order: Optional[Sequence[tuple[int, int, int]]] = None,
+    triple_order: Optional[Iterable[tuple[int, int, int]]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Optimistic check for a partially colored graph: edges with color
     None count as uniquely colored.  Returns the first set with no

@@ -14,6 +14,7 @@ palettes were exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil
 from typing import Optional
 
@@ -108,23 +109,34 @@ def _search_palette(
 ) -> Optional[list[int]]:
     """Backtracking search for a canonical k-rainbow coloring with the
     given palette.  Returns colors by edge index, or None if exhausted.
-    Raises BudgetExhausted when the node budget runs out.
+    Raises BudgetExhausted instead of counting a node once ``counter``
+    has reached ``budget``, so an exhausted search reports exactly the
+    budget.
     """
     m = g.m
     colors: list[Optional[int]] = [None] * m
     stride = max(1, ceil(m / 4))
+    culprit: Optional[tuple[int, ...]] = None
 
     def dfs(pos: int, maxc: int) -> bool:
+        nonlocal culprit
         e = order[pos]
         depth = pos + 1
         limit = min(maxc + 1, palette - 1)
         for t in range(limit + 1):
-            counter[0] += 1
-            if counter[0] > budget:
+            if counter[0] == budget:
                 raise BudgetExhausted()
+            counter[0] += 1
             colors[e] = t
             if depth == m or depth % stride == 0:
-                bad = partial_failure(g, colors, k, triple_order)
+                # The triple that failed last usually fails again, and
+                # then its three reach rows settle the check.
+                checks = triple_order
+                if culprit is not None:
+                    checks = chain((culprit,), triple_order)
+                bad = partial_failure(g, colors, k, checks)
+                if k == 3:
+                    culprit = bad
             else:
                 bad = None
             if bad is None:

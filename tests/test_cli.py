@@ -108,6 +108,10 @@ def test_solve_budget_exit_3(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["exact"] is False and obj["value"] is None
     assert obj["lower"] <= obj["upper"]
+    # a zero budget explores nothing and says so
+    code, out, _ = run(capsys, "solve", "--graph", str(g), "--budget", "0")
+    assert code == 3
+    assert json.loads(out)["nodes_explored"] == 0
 
 
 def test_solve_rx2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from rainbowindex import (
     star,
 )
 from rainbowindex.rainbow import (
+    _reach,
     coloring_from_json_dict,
     coloring_to_json_dict,
     partial_failure,
@@ -98,6 +99,41 @@ def test_reach_is_antichain():
                 for b in fam:
                     if a != b:
                         assert not (a & b == a)  # no subset pairs
+
+
+def test_relaxed_reach_matches_path_enumeration():
+    # An uncolored edge acts as a color of its own: give edge e the fresh
+    # color palette + e, enumerate paths, then drop the fresh colors.
+    rng = random.Random(71)
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randrange(3, 8), rng.randrange(6))
+        palette = rng.randrange(1, 5)
+        colors = [
+            None if rng.random() < 0.4 else rng.randrange(palette)
+            for _ in range(g.m)
+        ]
+        fresh = EdgeColoring(
+            tuple(palette + e if c is None else c for e, c in enumerate(colors)),
+            palette + g.m,
+        )
+        s = rng.randrange(g.n)
+        fams, _ = _reach(g, colors, s)
+        for t in range(g.n):
+            concrete = {
+                frozenset(c for c in cs if c < palette)
+                for cs in path_color_sets(g, fresh, s, t)
+            }
+            expect = {cs for cs in concrete if not any(o < cs for o in concrete)}
+            assert set(masks_to_sets(fams[t])) == expect
+            assert fams[t] == sorted(fams[t], key=lambda x: (x.bit_count(), x))
+    # no size cliff: a 300-color path, whole and with every third edge
+    # uncolored, gives one mask per target
+    g = path(301)
+    whole = list(range(300))
+    for colors in (whole, [None if c % 3 == 0 else c for c in whole]):
+        fams, _ = _reach(g, colors, 0)
+        for t in range(301):
+            assert fams[t] == [sum(1 << c for c in colors[:t] if c is not None)]
 
 
 def test_reach_errors():

@@ -7,6 +7,7 @@ from rainbowindex import (
     bfs_edge_order,
     build_graph,
     canonicalize_colors,
+    cartesian_product,
     complete,
     complete_bipartite,
     cycle,
@@ -121,7 +122,13 @@ def test_budget_exhaustion_is_explicit():
     assert res.lower <= 4 <= res.upper  # true value stays inside the bracket
     assert res.witness is not None
     assert is_k_rainbow(g, res.witness, 3).ok
-    assert res.nodes_explored >= 3
+    # an exhausted solve reports exactly its budget
+    for budget in (0, 3, 10, 68):
+        res = rx_exact(g, 3, budget=budget)
+        assert not res.exact and res.nodes_explored == budget
+    # C6 with k=3 needs 69 nodes, so a budget of 69 is enough
+    res = rx_exact(g, 3, budget=69)
+    assert res.exact and res.value == 4 and res.nodes_explored == 69
     with pytest.raises(ValueError):
         rx_exact(g, 3, budget=-1)
 
@@ -157,3 +164,19 @@ def test_value_equals_steiner_bound_on_paths_and_grids():
     for n in (3, 4, 5):
         res = rx_exact(path(n), 3)
         assert res.value == sdiam3(path(n)) == n - 1
+
+
+@pytest.mark.parametrize(
+    "make, nodes",
+    [
+        (lambda: cycle(7), 322),
+        (lambda: complete_bipartite(2, 4), 302),
+        (lambda: complete_bipartite(3, 3), 654),
+        (lambda: cartesian_product(path(2), path(3))[0], 192),
+    ],
+    ids=["C7", "K2,4", "K3,3", "P2xP3"],
+)
+def test_search_node_counts_are_pinned(make, nodes):
+    # A speedup must not change a prune decision; a change to the
+    # pruning itself updates these counts on purpose.
+    assert rx_exact(make(), 3).nodes_explored == nodes
