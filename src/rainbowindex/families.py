@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, as_int, build_graph
 from .rainbow import EdgeColoring
 from .solver import DEFAULT_BUDGET, rx_exact
 
@@ -30,43 +30,52 @@ class FamilySpec:
 
 
 KINDS = ("path", "cycle", "complete", "complete_bipartite", "star", "empty")
+_LEAST_N = {"path": 1, "cycle": 3, "complete": 1, "star": 2, "empty": 1}
+
+
+def _check_n(kind: str, n: int) -> int:
+    n = as_int(n, f"{kind} vertex count")
+    if n < _LEAST_N[kind]:
+        raise ValueError(f"{kind} needs n >= {_LEAST_N[kind]}, got {n}")
+    return n
+
+
+def _check_sides(s: int, t: int) -> tuple[int, int]:
+    s, t = as_int(s, "complete_bipartite s"), as_int(t, "complete_bipartite t")
+    if s < 1 or t < 1:
+        raise ValueError(f"complete_bipartite needs s, t >= 1, got {s}, {t}")
+    return s, t
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"path needs n >= 1, got {n}")
+    n = _check_n("path", n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
+    n = _check_n("cycle", n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"complete needs n >= 1, got {n}")
+    n = _check_n("complete", n)
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
     """Sides 0..s-1 and s..s+t-1; edges in (left, right) order."""
-    if s < 1 or t < 1:
-        raise ValueError(f"complete_bipartite needs s, t >= 1, got {s}, {t}")
+    s, t = _check_sides(s, t)
     return build_graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
 
 
 def star(n: int) -> Graph:
     """Center 0 with n - 1 leaves."""
-    if n < 2:
-        raise ValueError(f"star needs n >= 2, got {n}")
+    n = _check_n("star", n)
     return build_graph(n, [(0, i) for i in range(1, n)])
 
 
 def empty(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"empty needs n >= 1, got {n}")
+    n = _check_n("empty", n)
     return build_graph(n, [])
 
 
@@ -147,29 +156,25 @@ def _two_side_bipartite_value(t: int) -> tuple[int, bool]:
 
 def oracle_rx3(spec: FamilySpec) -> Optional[OracleEntry]:
     """Known 3-rainbow index (or bounds) for the instance; None when no
-    covered statement applies."""
+    covered statement applies.  The parameters are checked as
+    ``generate`` checks them, but no graph is built."""
+    if spec.kind in _LEAST_N:
+        n = _check_n(spec.kind, _req(spec.n, "n"))
     if spec.kind in ("path", "star"):
-        n = _req(spec.n, "n")
-        generate(spec)  # validate parameters
         if n < 3:
             return None
         return OracleEntry(n - 1, n - 1, "tree")
     if spec.kind == "cycle":
-        n = _req(spec.n, "n")
-        generate(spec)
         if n == 3:
             return OracleEntry(2, 2, "cycle")
         return OracleEntry(n - 2, n - 2, "cycle")
     if spec.kind == "complete":
-        n = _req(spec.n, "n")
-        generate(spec)
         if n < 3:
             return None
         value = 2 if n <= 5 else 3
         return OracleEntry(value, value, "complete")
     if spec.kind == "complete_bipartite":
-        s, t = _req(spec.s, "s"), _req(spec.t, "t")
-        generate(spec)
+        s, t = _check_sides(_req(spec.s, "s"), _req(spec.t, "t"))
         if s > t:
             s, t = t, s
         if s == 1:
@@ -187,7 +192,6 @@ def oracle_rx3(spec: FamilySpec) -> Optional[OracleEntry]:
             note = "upper bound 6 is attained for right sides this large"
         return OracleEntry(3, upper, "bipartite-bound", note=note)
     if spec.kind == "empty":
-        generate(spec)
         return None  # disconnected (or a single vertex): no index statement
     raise ValueError(f"unknown family kind {spec.kind!r}")
 

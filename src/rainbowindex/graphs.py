@@ -65,13 +65,22 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edge_index
 
 
+def as_int(value, what: str) -> int:
+    """``value`` by ``operator.index`` (numpy integers pass), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def build_graph(n: int, edge_pairs: Iterable[Sequence[int]]) -> Graph:
     """Build a graph from vertex count and edge pairs.
 
     Pairs are normalized to u < v.  Duplicates are dropped, keeping the
     index of the first occurrence.  Self-loops and out-of-range endpoints
-    are rejected.
+    are rejected, and so is a vertex count that is not an integer.
     """
+    n = as_int(n, "vertex count")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     seen: dict[tuple[int, int], int] = {}
@@ -97,10 +106,7 @@ def vertex_triple(g: Graph, vertices: Iterable[int]) -> tuple[int, int, int]:
     """The 3-set ``vertices`` of g in ascending order.  Each vertex must
     be an integer (``operator.index``: numpy integers pass, floats and
     strings do not) in range, and exactly three must be distinct."""
-    try:
-        s = sorted({operator.index(v) for v in vertices})
-    except TypeError:
-        raise ValueError(f"vertices must be integers: {vertices!r}") from None
+    s = sorted({as_int(v, "a vertex") for v in vertices})
     if len(s) != 3:
         raise ValueError(f"need exactly 3 distinct vertices, got {s}")
     for v in s:

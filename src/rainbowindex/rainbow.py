@@ -12,7 +12,8 @@ bearing a color unique to that edge: masks then track only the concrete
 colors, which is equivalent because an edge appears at most once in a
 path, and two paths sharing such an edge still form an all-distinct-colors
 union.  The exact solver uses this for its optimistic partial-coloring
-checks, which share one triple-scan engine with the checker.
+checks.  The checker and the solver share one scan, for pairs (k=2) and
+triples (k=3) alike: the first set of an order with no rainbow tree.
 
 The reach search finds masks in order of size: all masks with p colors
 (closed over the uncolored edges first) before any with p + 1.  A mask
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, is_connected, vertex_triple
+from .graphs import Graph, as_int, is_connected, vertex_triple
 
 
 @dataclass(frozen=True)
@@ -36,20 +37,23 @@ class EdgeColoring:
     """Total assignment of color ids to a graph's edge indices.
 
     Adjacent edges may share colors.  palette_size bounds the ids; the
-    coloring need not use every palette color.
+    coloring need not use every palette color.  Integers of any type
+    (numpy's too) are stored as Python ints; others raise ValueError.
     """
 
     colors: tuple[int, ...]
     palette_size: int
 
     def __post_init__(self):
-        if self.palette_size < 0:
+        palette = as_int(self.palette_size, "palette_size")
+        if palette < 0:
             raise ValueError("palette_size must be nonnegative")
-        for e, c in enumerate(self.colors):
-            if not (0 <= c < self.palette_size):
-                raise ValueError(
-                    f"color {c} of edge {e} outside palette [0, {self.palette_size})"
-                )
+        colors = tuple(as_int(c, "an edge color") for c in self.colors)
+        for e, c in enumerate(colors):
+            if not (0 <= c < palette):
+                raise ValueError(f"color {c} of edge {e} outside palette [0, {palette})")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "palette_size", palette)
 
     @property
     def colors_used(self) -> int:
@@ -177,6 +181,7 @@ def rainbow_reach(
     """Per target vertex, the antichain of minimal color sets (as
     bitmasks) achievable by rainbow paths from ``source``."""
     _require_match(g, coloring)
+    source = as_int(source, "source")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
     fams, _ = _reach(g, coloring.colors, source)
@@ -272,14 +277,15 @@ def has_rainbow_tree(
 # Whole-graph verdicts
 # ---------------------------------------------------------------------------
 
-def _first_bad_triple(
+def _first_bad_set(
     g: Graph,
     colors: Sequence[Optional[int]],
-    order: Iterable[tuple[int, int, int]],
-) -> Optional[tuple[int, int, int]]:
-    """First triple of ``order`` with no rainbow tree, or None.
+    order: Iterable[tuple[int, ...]],
+) -> Optional[tuple[int, ...]]:
+    """First pair or triple of ``order`` with no rainbow tree, or None.
 
-    Reach rows are computed when a triple first needs them.  Bit x of
+    Reach rows are computed when a set first needs them.  A pair (a, b)
+    fails when fams[a][b] is empty.  For a triple, bit x of
     ``centers(a, b)`` says that some mask of fams[a][x] is disjoint from
     some mask of fams[b][x].  A tree at center x needs that for all three
     pairs of the triple, so only the centers in the intersection are
@@ -315,7 +321,12 @@ def _first_bad_triple(
             pairs[key] = bits
         return bits
 
-    for a, b, c in order:
+    for vs in order:
+        if len(vs) == 2:
+            if not reach_row(vs[0])[vs[1]]:
+                return vs
+            continue
+        a, b, c = vs
         common = centers(a, b)
         if common:
             common &= centers(a, c)
@@ -329,18 +340,7 @@ def _first_bad_triple(
                 break
             common ^= low
         else:
-            return (a, b, c)
-    return None
-
-
-def _scan_pairs(
-    g: Graph, colors: Sequence[Optional[int]]
-) -> Optional[tuple[int, int]]:
-    for a in range(g.n):
-        fams, _ = _reach(g, colors, a)
-        for b in range(a + 1, g.n):
-            if not fams[b]:
-                return (a, b)
+            return vs
     return None
 
 
@@ -354,32 +354,23 @@ def is_k_rainbow(
 
     The failing verdict carries the lexicographically first bad set.
     """
-    if k not in (2, 3):
+    if as_int(k, "k") not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
     _require_match(g, coloring)
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")
-    if k == 2:
-        bad = _scan_pairs(g, coloring.colors)
-    else:
-        bad = _first_bad_triple(g, coloring.colors, combinations(range(g.n), 3))
+    bad = _first_bad_set(g, coloring.colors, combinations(range(g.n), k))
     return Verdict(bad is None, bad)
 
 
 def partial_failure(
     g: Graph,
     colors: Sequence[Optional[int]],
-    k: int,
-    triple_order: Optional[Iterable[tuple[int, int, int]]] = None,
+    order: Iterable[tuple[int, ...]],
 ) -> Optional[tuple[int, ...]]:
     """Optimistic check for a partially colored graph: edges with color
-    None count as uniquely colored.  Returns the first set with no
+    None count as uniquely colored.  Returns the first set of ``order``
+    (pairs and triples, in the one scan ``is_k_rainbow`` runs) with no
     rainbow tree even under that relaxation, or None if all sets pass.
-
-    For k=3 "first" means first in ``triple_order`` (lexicographic order
-    when None); for k=2 it is the lexicographically first pair.
     """
-    if k == 2:
-        return _scan_pairs(g, colors)
-    order = triple_order if triple_order is not None else combinations(range(g.n), 3)
-    return _first_bad_triple(g, colors, order)
+    return _first_bad_set(g, colors, order)

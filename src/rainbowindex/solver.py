@@ -14,11 +14,11 @@ palettes were exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from math import ceil
 from typing import Optional
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, as_int, is_connected
 from .rainbow import EdgeColoring, partial_failure
 from .steiner import diameter, sdiam3, triples_by_steiner_desc
 
@@ -53,7 +53,7 @@ def lower_bound(g: Graph, k: int) -> int:
     """Steiner-diameter lower bound on the k-rainbow index (k=2: the
     diameter; k=3: sdiam3).  Vacuous small graphs fall back to what the
     vertex count supports."""
-    if k not in (2, 3):
+    if as_int(k, "k") not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
     if not is_connected(g):
         raise ValueError("lower_bound requires a connected graph")
@@ -100,18 +100,18 @@ def canonicalize_colors(colors: tuple[int, ...]) -> tuple[int, ...]:
 
 def _search_palette(
     g: Graph,
-    k: int,
     palette: int,
     order: list[int],
-    triple_order: list[tuple[int, int, int]],
+    set_order: list[tuple[int, ...]],
     counter: list[int],
     budget: int,
 ) -> Optional[list[int]]:
-    """Backtracking search for a canonical k-rainbow coloring with the
-    given palette.  Returns colors by edge index, or None if exhausted.
-    Raises BudgetExhausted instead of counting a node once ``counter``
-    has reached ``budget``, so an exhausted search reports exactly the
-    budget.
+    """Backtracking search for a canonical coloring with the given
+    palette that gives every set of ``set_order`` (the pairs, or the
+    triples) a rainbow tree; each check is one ``partial_failure`` scan.
+    Returns colors by edge index, or None if exhausted.  Raises
+    BudgetExhausted instead of counting a node once ``counter`` has
+    reached ``budget``, so an exhausted search reports exactly the budget.
     """
     m = g.m
     colors: list[Optional[int]] = [None] * m
@@ -129,14 +129,10 @@ def _search_palette(
             counter[0] += 1
             colors[e] = t
             if depth == m or depth % stride == 0:
-                # The triple that failed last usually fails again, and
-                # then its three reach rows settle the check.
-                checks = triple_order
-                if culprit is not None:
-                    checks = chain((culprit,), triple_order)
-                bad = partial_failure(g, colors, k, checks)
-                if k == 3:
-                    culprit = bad
+                # The set that failed last usually fails again, and
+                # then its reach rows settle the check.
+                checks = set_order if culprit is None else chain((culprit,), set_order)
+                bad = culprit = partial_failure(g, colors, checks)
             else:
                 bad = None
             if bad is None:
@@ -168,8 +164,9 @@ def rx_exact(
     k-set is vacuously colorable with one color.  ``budget`` caps the
     search nodes; it must be nonnegative.
     """
-    if k not in (2, 3):
+    if as_int(k, "k") not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
+    budget = as_int(budget, "budget")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if not is_connected(g):
@@ -179,12 +176,12 @@ def rx_exact(
 
     lb = max(1, lower_bound(g, k))
     order = bfs_edge_order(g)
-    triple_order = triples_by_steiner_desc(g) if k == 3 else []
+    set_order = triples_by_steiner_desc(g) if k == 3 else list(combinations(range(g.n), 2))
     counter = [0]
     proven = lb
     for c in range(lb, g.m + 1):
         try:
-            found = _search_palette(g, k, c, order, triple_order, counter, budget)
+            found = _search_palette(g, c, order, set_order, counter, budget)
         except BudgetExhausted:
             fallback = EdgeColoring(tuple(range(g.m)), g.m)
             return SolveResult(

@@ -1,13 +1,19 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from rainbowindex import (
     EdgeColoring,
     FamilySpec,
+    complete_bipartite,
+    cycle,
     generate,
     is_complete,
     is_k_rainbow,
     oracle_coloring,
     oracle_rx3,
+    path,
     rx_exact,
 )
 from rainbowindex.families import oracle_entry_to_json_dict
@@ -39,6 +45,11 @@ def test_generate_validation():
         generate(spec("wheel", n=5))
     with pytest.raises(ValueError):
         generate(spec("complete_bipartite", s=0, t=3))
+    # the builders take integers only; numpy integers are integers
+    for build, args in ((path, (3.0,)), (cycle, ("4",)), (complete_bipartite, (2, 1.5))):
+        with pytest.raises(ValueError, match="integer"):
+            build(*args)
+    assert path(np.int64(3)).n == 3
 
 
 def test_oracle_exact_values():
@@ -80,6 +91,47 @@ def test_oracle_bounds_and_notes():
     assert wide.upper == 6
     assert wide.note is not None  # tightness regime recorded, not asserted
     assert oracle_rx3(spec("complete_bipartite", s=3, t=431)).note is None
+
+
+def test_oracle_builds_no_graph():
+    # K_{2,10^6} or K_{10^6} would not fit in memory: the oracle checks
+    # the parameters without generating the graph
+    big = 10**6
+    specs = [
+        spec("path", n=big), spec("star", n=big), spec("cycle", n=big),
+        spec("complete", n=big), spec("empty", n=big),
+        spec("complete_bipartite", s=1, t=big), spec("complete_bipartite", s=2, t=big),
+        spec("complete_bipartite", s=3, t=big), spec("complete_bipartite", s=big, t=big),
+    ]
+    tracemalloc.start()
+    try:
+        entries = [oracle_rx3(s) for s in specs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    bounds = [None if e is None else (e.lower, e.upper) for e in entries]
+    assert bounds == [
+        (big - 1, big - 1), (big - 1, big - 1), (big - 2, big - 2), (3, 3), None,
+        (big, big), (1001, 1001), (3, 6), (3, 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        spec("path", n=0), spec("star", n=1), spec("cycle", n=2), spec("complete", n=0),
+        spec("empty", n=0), spec("path"), spec("complete_bipartite", s=0, t=3),
+        spec("complete_bipartite", s=2), spec("cycle", n=4.0),
+    ],
+    ids=repr,
+)
+def test_oracle_rejects_what_generate_rejects(bad):
+    with pytest.raises(ValueError) as built:
+        generate(bad)
+    with pytest.raises(ValueError) as checked:
+        oracle_rx3(bad)
+    assert str(checked.value) == str(built.value)
 
 
 def test_oracle_no_statement():

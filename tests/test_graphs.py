@@ -57,6 +57,11 @@ def test_build_rejects_non_integral_endpoints():
     # numpy integers are integral, so they are accepted
     g = build_graph(3, [(np.int64(0), np.int32(2))])
     assert g.edges == ((0, 2),) and type(g.edges[0][1]) is int
+    # so is the vertex count, which must be an integer too
+    with pytest.raises(ValueError, match="integer"):
+        build_graph(3.0, [(0, 1)])
+    g = build_graph(np.int64(3), [(0, 1)])
+    assert g.n == 3 and type(g.n) is int
 
 
 def test_build_dedup_keeps_first_index():

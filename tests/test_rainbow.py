@@ -3,10 +3,13 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowindex import (
     EdgeColoring,
     build_graph,
+    cartesian_coloring,
     cycle,
     find_rainbow_tree,
     has_rainbow_tree,
@@ -142,6 +145,10 @@ def test_reach_errors():
     # no palette bound: masks are Python ints
     fams = rainbow_reach(path(3), EdgeColoring((0, 39), 40), 0)
     assert fams[2] == [(1 << 0) | (1 << 39)]
+    # the source must be an integer; numpy integers are
+    with pytest.raises(ValueError):
+        rainbow_reach(path(3), EdgeColoring((0, 39), 40), 1.0)
+    assert rainbow_reach(path(3), EdgeColoring((0, 39), 40), np.int64(0)) == fams
     # terminals must be exactly three distinct in-range integers
     c = EdgeColoring((0, 1, 2, 3), 4)
     for terminals in (["0", 2, 4], [0, 2.9, 4], [0, 2, 2], [0, 2, 5]):
@@ -214,6 +221,54 @@ def test_k2_short_circuit():
     assert is_k_rainbow(path(3), EdgeColoring((0, 1), 2), 2).ok
 
 
+@st.composite
+def colored_graphs(draw):
+    """A small connected graph (a random tree plus extra edges) with a
+    random total coloring."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda p: p[0] != p[1]), max_size=4))
+    g = build_graph(n, pairs)
+    palette = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(0, palette - 1), min_size=g.m, max_size=g.m))
+    return g, EdgeColoring(tuple(colors), palette)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(colored_graphs())
+def test_k2_failing_pair_is_first_pair_without_rainbow_path(gc):
+    g, c = gc
+    want = next(
+        (p for p in combinations(range(g.n), 2) if not path_color_sets(g, c, *p)), None
+    )
+    verdict = is_k_rainbow(g, c, 2)
+    assert verdict.failing == want and verdict.ok == (want is None)
+
+
+def test_numpy_colors_match_python_ints():
+    # 1 << np.int64(70) is 0, so numpy colors of 64 and up must become ints
+    g = path(101)
+    colors = list(range(100))
+    colors[6] = 70
+    as_ints = EdgeColoring(tuple(colors), 100)
+    as_numpy = EdgeColoring(np.array(colors), np.int64(100))
+    assert is_k_rainbow(g, as_ints, 2).failing == (0, 71)
+    assert is_k_rainbow(g, as_ints, 3).failing == (0, 1, 71)
+    for k in (2, 3):
+        assert is_k_rainbow(g, as_numpy, k) == is_k_rainbow(g, as_ints, k)
+    assert as_numpy.colors == as_ints.colors and type(as_numpy.colors[70]) is int
+    assert type(as_numpy.palette_size) is int
+    # numpy colors next to the shifted color 100 used to overflow
+    report = cartesian_coloring(
+        path(3), EdgeColoring(np.array([0, 1]), 100), path(2), EdgeColoring((0,), 1)
+    )
+    assert report.coloring.palette_size == 101
+    for colors, palette in (((0.5, 1), 2), ((0, "1"), 2), ((0, 1), 2.0)):
+        with pytest.raises(ValueError):
+            EdgeColoring(colors, palette)
+
+
 def test_is_k_rainbow_wide_masks_match_brute_oracle():
     # colors above 64: masks no longer fit one machine word
     rng = random.Random(43)
@@ -231,6 +286,9 @@ def test_is_k_rainbow_wide_masks_match_brute_oracle():
 def test_is_k_rainbow_errors():
     with pytest.raises(ValueError):
         is_k_rainbow(path(3), EdgeColoring((0, 1), 2), 4)
+    with pytest.raises(ValueError):
+        is_k_rainbow(path(3), EdgeColoring((0, 1), 2), 2.0)
+    assert is_k_rainbow(path(3), EdgeColoring((0, 1), 2), np.int64(2)).ok
     with pytest.raises(ValueError):
         is_k_rainbow(build_graph(4, [(0, 1), (2, 3)]), EdgeColoring((0, 1), 2), 3)
 
@@ -285,14 +343,16 @@ def test_partial_failure_matches_materialized_fresh_colors():
         ]
         full = materialize_fresh(colors, palette)
         for k in (2, 3):
-            relaxed = partial_failure(g, colors, k)
+            relaxed = partial_failure(g, colors, combinations(range(g.n), k))
             exact = is_k_rainbow(g, full, k)
             assert (relaxed is None) == exact.ok
 
 
 def test_partial_failure_returns_first_failing_triple_of_order():
+    # pairs as well: one scan serves both set sizes
     rng = random.Random(67)
-    failures = 0
+    pair_rng = random.Random(71)
+    failures = pair_failures = 0
     for _ in range(40):
         g = random_connected_graph(rng, rng.randrange(3, 7), rng.randrange(4))
         palette = rng.randrange(1, 4)
@@ -306,6 +366,11 @@ def test_partial_failure_returns_first_failing_triple_of_order():
         want = next(
             (s for s in order if not has_rainbow_tree_brute(g, full, s)), None
         )
-        assert partial_failure(g, colors, 3, order) == want
+        assert partial_failure(g, colors, order) == want
         failures += want is not None
-    assert failures > 5
+        pairs = list(combinations(range(g.n), 2))
+        pair_rng.shuffle(pairs)
+        want = next((p for p in pairs if not path_color_sets(g, full, *p)), None)
+        assert partial_failure(g, colors, pairs) == want
+        pair_failures += want is not None
+    assert failures > 5 and pair_failures > 5

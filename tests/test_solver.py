@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rainbowindex import (
@@ -131,6 +132,10 @@ def test_budget_exhaustion_is_explicit():
     assert res.exact and res.value == 4 and res.nodes_explored == 69
     with pytest.raises(ValueError):
         rx_exact(g, 3, budget=-1)
+    # a budget that is not an integer is rejected, not ignored
+    with pytest.raises(ValueError):
+        rx_exact(g, 3, budget=3.5)
+    assert rx_exact(g, 3, budget=np.int64(3)).nodes_explored == 3
 
 
 def test_vacuous_and_trivial_graphs():
@@ -167,16 +172,18 @@ def test_value_equals_steiner_bound_on_paths_and_grids():
 
 
 @pytest.mark.parametrize(
-    "make, nodes",
+    "make, k, nodes",
     [
-        (lambda: cycle(7), 322),
-        (lambda: complete_bipartite(2, 4), 302),
-        (lambda: complete_bipartite(3, 3), 654),
-        (lambda: cartesian_product(path(2), path(3))[0], 192),
+        (lambda: cycle(7), 3, 322),
+        (lambda: complete_bipartite(2, 4), 3, 302),
+        (lambda: complete_bipartite(3, 3), 3, 654),
+        (lambda: cartesian_product(path(2), path(3))[0], 3, 192),
+        (lambda: cycle(7), 2, 435),
+        (lambda: complete_bipartite(2, 5), 2, 1014),
     ],
-    ids=["C7", "K2,4", "K3,3", "P2xP3"],
+    ids=["C7", "K2,4", "K3,3", "P2xP3", "C7,k=2", "K2,5,k=2"],
 )
-def test_search_node_counts_are_pinned(make, nodes):
+def test_search_node_counts_are_pinned(make, k, nodes):
     # A speedup must not change a prune decision; a change to the
     # pruning itself updates these counts on purpose.
-    assert rx_exact(make(), 3).nodes_explored == nodes
+    assert rx_exact(make(), k).nodes_explored == nodes
