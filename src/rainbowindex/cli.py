@@ -85,19 +85,16 @@ def _family_spec(args: argparse.Namespace) -> families.FamilySpec:
     return families.FamilySpec(args.family, n=args.n, s=args.s, t=args.t)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    run = _Run(args)
+def cmd_gen(args: argparse.Namespace, run: _Run) -> int:
     g = families.generate(_family_spec(args))
     run.write(args.output, graphs.graph_to_json_dict(g))
     run.write_text(args.dot, graphs.to_dot(g))
     if args.output is None:
         _print_json(graphs.graph_to_json_dict(g))
-    run.finish(args.manifest)
     return EXIT_OK
 
 
-def cmd_product(args: argparse.Namespace) -> int:
-    run = _Run(args)
+def cmd_product(args: argparse.Namespace, run: _Run) -> int:
     g = run.read_graph(args.g)
     h = run.read_graph(args.h)
     if args.kind == "join":
@@ -114,7 +111,6 @@ def cmd_product(args: argparse.Namespace) -> int:
     run.write_text(args.dot, graphs.to_dot(derived, vertex_labels=labels))
     if args.output is None:
         _print_json(graphs.graph_to_json_dict(derived))
-    run.finish(args.manifest)
     return EXIT_OK
 
 
@@ -125,8 +121,7 @@ def _parse_vertex_list(text: str) -> frozenset[int]:
     return frozenset(int(x) for x in text.split(","))
 
 
-def cmd_color(args: argparse.Namespace) -> int:
-    run = _Run(args)
+def cmd_color(args: argparse.Namespace, run: _Run) -> int:
     report = _dispatch_color(args, run)
     run.write(args.out_graph, graphs.graph_to_json_dict(report.derived_graph))
     run.write(args.out_coloring, rainbow.coloring_to_json_dict(report.coloring))
@@ -143,7 +138,6 @@ def cmd_color(args: argparse.Namespace) -> int:
         graphs.to_dot(report.derived_graph, edge_colors=report.coloring.colors),
     )
     _print_json(report_obj)
-    run.finish(args.manifest)
     return EXIT_OK if report.verified.ok else EXIT_VERIFY_FAILED
 
 
@@ -201,8 +195,7 @@ def _dispatch_color(args: argparse.Namespace, run: _Run):
     raise ValueError(f"unknown coloring op {op!r}")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    run = _Run(args)
+def cmd_verify(args: argparse.Namespace, run: _Run) -> int:
     g = run.read_graph(args.graph)
     c = run.read_coloring(args.coloring)
     verdict = rainbow.is_k_rainbow(g, c, args.k)
@@ -212,12 +205,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     run.write(args.output, obj)
     _print_json(obj)
-    run.finish(args.manifest)
     return EXIT_OK if verdict.ok else EXIT_VERIFY_FAILED
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    run = _Run(args)
+def cmd_solve(args: argparse.Namespace, run: _Run) -> int:
     g = run.read_graph(args.graph)
     result = solver.rx_exact(g, args.k, budget=args.budget)
     obj = {
@@ -231,12 +222,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.emit_witness and result.witness is not None:
         run.write(args.emit_witness, rainbow.coloring_to_json_dict(result.witness))
     _print_json(obj)
-    run.finish(args.manifest)
     return EXIT_OK if result.exact else EXIT_BUDGET
 
 
-def cmd_sdiam(args: argparse.Namespace) -> int:
-    run = _Run(args)
+def cmd_sdiam(args: argparse.Namespace, run: _Run) -> int:
     g = run.read_graph(args.graph)
     if args.triples:
         for record in steiner.steiner_records(g):
@@ -245,12 +234,10 @@ def cmd_sdiam(args: argparse.Namespace) -> int:
     obj = {"sdiam3": value}
     run.write(args.output, obj)
     _print_json(obj)
-    run.finish(args.manifest)
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    run = _Run(args)
+def cmd_oracle(args: argparse.Namespace, run: _Run) -> int:
     entry = families.oracle_rx3(_family_spec(args))
     if entry is None:
         obj = {"oracle": None, "reason": "no covered statement for this instance"}
@@ -258,7 +245,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         obj = families.oracle_entry_to_json_dict(entry)
     run.write(args.output, obj)
     _print_json(obj)
-    run.finish(args.manifest)
     return EXIT_OK
 
 
@@ -362,7 +348,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         return EXIT_INPUT
     try:
-        return args.func(args)
+        run = _Run(args)
+        code = args.func(args, run)
+        run.finish(args.manifest)
+        return code
     except (ValueError, OSError, KeyError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),

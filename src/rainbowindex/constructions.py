@@ -75,13 +75,13 @@ def _report(
     graph: Graph,
     colors: Sequence[int],
     palette: int,
-    claimed: int,
     known: Optional[int] = None,
 ) -> ConstructionReport:
+    """Verify the coloring and report it; the palette is the claimed bound."""
     coloring = EdgeColoring(tuple(colors), palette)
     verdict = is_k_rainbow(graph, coloring, 3)
     return ConstructionReport(
-        graph, coloring, coloring.colors_used, claimed, verdict, known
+        graph, coloring, coloring.colors_used, palette, verdict, known
     )
 
 
@@ -100,7 +100,7 @@ def cartesian_coloring(
         cg.colors[cl.operand_edge] if cl.kind == "G" else pg + ch.colors[cl.operand_edge]
         for cl in classes
     ]
-    return _report(prod, colors, pg + ch.palette_size, pg + ch.palette_size)
+    return _report(prod, colors, pg + ch.palette_size)
 
 
 def grid_coloring(dims: Sequence[int]) -> ConstructionReport:
@@ -122,10 +122,7 @@ def grid_coloring(dims: Sequence[int]) -> ConstructionReport:
         raise AssertionError(
             f"grid lower-bound certificate {certificate} != palette {target}"
         )
-    verdict = is_k_rainbow(graph, coloring, 3)
-    return ConstructionReport(
-        graph, coloring, coloring.colors_used, target, verdict, known_bound=target
-    )
+    return _report(graph, coloring.colors, target, known=target)
 
 
 def strong_coloring(
@@ -146,7 +143,7 @@ def strong_coloring(
             colors.append(pg + ch.colors[cl.operand_edge])
         else:
             colors.append(0)
-    return _report(prod, colors, pg + ch.palette_size, pg + ch.palette_size)
+    return _report(prod, colors, pg + ch.palette_size)
 
 
 def lex_coloring_h2(g: Graph, cg: EdgeColoring) -> ConstructionReport:
@@ -169,7 +166,7 @@ def lex_coloring_h2(g: Graph, cg: EdgeColoring) -> ConstructionReport:
             colors.append(cg.colors[cl.operand_edge])
         else:
             colors.append(fresh)
-    return _report(prod, colors, pg + 1, pg + 1)
+    return _report(prod, colors, pg + 1)
 
 
 def lex_coloring_general(
@@ -210,7 +207,7 @@ def lex_coloring_general(
         else:
             colors.append(p + ch_rc.colors[cl.operand_edge])
     bound = p + ch_rc.palette_size
-    return _report(prod, colors, bound, bound)
+    return _report(prod, colors, bound)
 
 
 def _bipartite_upper(s: int, t: int) -> Optional[int]:
@@ -255,7 +252,7 @@ def join_coloring(
         _require_rainbow(h, ch, 3, "right")
         ph = ch.palette_size
         colors = list(ch.colors) + [ph] * (s * t)
-        return _report(derived, colors, ph + 1, ph + 1, known=ph + 1)
+        return _report(derived, colors, ph + 1, known=ph + 1)
 
     if s == 2:
         if ch_rc is None:
@@ -272,7 +269,7 @@ def join_coloring(
             colors += [rc + i] * t
         claimed = rc + 3
         known = min(claimed, _bipartite_upper(2, t) or claimed)
-        return _report(derived, colors, claimed, claimed, known=known)
+        return _report(derived, colors, claimed, known=known)
 
     if cg is None or ch is None:
         raise ValueError("three-plus case needs cg and ch, 3-rainbow colorings")
@@ -282,7 +279,7 @@ def join_coloring(
     colors = list(cg.colors) + list(ch.colors) + [c1] * (s * t)
     claimed = c1 + 1
     known = min(claimed, _bipartite_upper(s, t) or claimed)
-    return _report(derived, colors, claimed, claimed, known=known)
+    return _report(derived, colors, claimed, known=known)
 
 
 def split_coloring(
@@ -295,7 +292,7 @@ def split_coloring(
     derived, origins = split_vertex(g, spec)
     pg = cg.palette_size
     colors = [pg if src is None else cg.colors[src] for src in origins]
-    return _report(derived, colors, pg + 1, pg + 1)
+    return _report(derived, colors, pg + 1)
 
 
 def subdivision_coloring(g: Graph, cg: EdgeColoring, e: int) -> ConstructionReport:
@@ -305,4 +302,4 @@ def subdivision_coloring(g: Graph, cg: EdgeColoring, e: int) -> ConstructionRepo
     derived, origins = subdivide_edge(g, e)
     pg = cg.palette_size
     colors = [pg if src is None else cg.colors[src] for src in origins]
-    return _report(derived, colors, pg + 1, pg + 1)
+    return _report(derived, colors, pg + 1)

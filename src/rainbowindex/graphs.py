@@ -5,13 +5,15 @@ Vertices are the dense integers 0..n-1.  Edges are normalized pairs
 stable edge index; nothing ever renumbers edges after construction.
 All derived graphs (products, join, split, subdivision) come with
 provenance back to the operands so colorings can be transported.
+``bfs`` is the one breadth-first search over a graph: connectivity,
+all-pairs distances, Steiner witnesses and the solver's edge order all
+read its visit order or its hop counts.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -66,11 +68,14 @@ class Graph:
 
 
 def as_int(value, what: str) -> int:
-    """``value`` by ``operator.index`` (numpy integers pass), else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` by ``operator.index`` (numpy integers pass), else
+    ValueError.  A bool is not an integer here, as in the JSON readers."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def build_graph(n: int, edge_pairs: Iterable[Sequence[int]]) -> Graph:
@@ -87,8 +92,8 @@ def build_graph(n: int, edge_pairs: Iterable[Sequence[int]]) -> Graph:
     edges: list[tuple[int, int]] = []
     for pair in edge_pairs:
         try:
-            u, v = operator.index(pair[0]), operator.index(pair[1])
-        except TypeError:
+            u, v = as_int(pair[0], "an endpoint"), as_int(pair[1], "an endpoint")
+        except (TypeError, ValueError):
             raise ValueError(f"edge endpoints must be integers: {pair!r}") from None
         if u == v:
             raise ValueError(f"self-loop rejected: ({u}, {v})")
@@ -115,22 +120,27 @@ def vertex_triple(g: Graph, vertices: Iterable[int]) -> tuple[int, int, int]:
     return s[0], s[1], s[2]
 
 
+def bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search from ``source``, neighbors in ascending id order.
+
+    Returns (order, dist): the reached vertices in visit order, and every
+    vertex's hop count from ``source``, -1 where it is unreachable.
+    """
+    dist = [-1] * g.n
+    dist[source] = 0
+    order = [source]
+    for u in order:
+        d = dist[u] + 1
+        for w in g.adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+    return order, dist
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has exactly one connected component (K_1 counts)."""
-    if g.n == 0:
-        return False
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n
+    return g.n > 0 and len(bfs(g, 0)[0]) == g.n
 
 
 def is_complete(g: Graph) -> bool:
@@ -363,8 +373,12 @@ def dump_json(obj: dict, path: str) -> None:
 
 
 def load_json(path: str) -> dict:
+    """Parse a JSON file; nesting too deep to parse is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 _DOT_COLORS = (

@@ -18,7 +18,7 @@ from itertools import chain, combinations
 from math import ceil
 from typing import Optional
 
-from .graphs import Graph, as_int, is_connected
+from .graphs import Graph, as_int, bfs, is_connected
 from .rainbow import EdgeColoring, partial_failure
 from .steiner import diameter, sdiam3, triples_by_steiner_desc
 
@@ -69,20 +69,11 @@ def bfs_edge_order(g: Graph) -> list[int]:
     in one region and partial-infeasibility pruning bites sooner."""
     order: list[int] = []
     seen_edge = [False] * g.m
-    visited = [False] * g.n
-    visited[0] = True
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for e, w in g.incidence[u]:
+    for u in bfs(g, 0)[0]:
+        for e, _ in g.incidence[u]:
             if not seen_edge[e]:
                 seen_edge[e] = True
                 order.append(e)
-            if not visited[w]:
-                visited[w] = True
-                queue.append(w)
     return order
 
 

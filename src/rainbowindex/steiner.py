@@ -3,7 +3,8 @@
 A minimum tree through three terminals is either a path through them or
 a spider with one branch vertex, so its size is the minimum over all
 centers v of d(v,a) + d(v,b) + d(v,c).  Everything here exploits that
-identity; it does not hold for four or more terminals.  The per-triple
+identity; it does not hold for four or more terminals.  Every distance
+comes from ``graphs.bfs``, the one breadth-first search.  The per-triple
 values behind ``sdiam3``, ``steiner_records`` and
 ``triples_by_steiner_desc`` come from one blockwise pass,
 ``_steiner_blocks``, whose working memory is O(n^2).
@@ -11,35 +12,18 @@ values behind ``sdiam3``, ``steiner_records`` and
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, is_connected, vertex_triple
-
-
-def bfs_distances(g: Graph, source: int) -> list[float]:
-    """Hop distances from source; math.inf for unreachable vertices."""
-    dist = [float("inf")] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adjacency[u]:
-            if dist[w] == float("inf"):
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+from .graphs import Graph, bfs, is_connected, vertex_triple
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """n x n matrix of hop counts, np.inf sentinel for disconnected pairs."""
-    d = np.full((g.n, g.n), np.inf)
-    for s in range(g.n):
-        d[s] = bfs_distances(g, s)
+    d = np.array([bfs(g, s)[1] for s in range(g.n)], dtype=float).reshape(g.n, g.n)
+    d[d < 0] = np.inf
     return d
 
 
@@ -65,16 +49,16 @@ class SteinerResult:
     center: int
 
 
-def _min_parents(g: Graph, source: int) -> tuple[list[float], list[int]]:
-    """BFS distances plus, per vertex, the smallest-id neighbor one hop
-    closer to the source (deterministic shortest-path tree)."""
-    dist = bfs_distances(g, source)
+def _min_parents(g: Graph, source: int) -> list[int]:
+    """Per vertex, the smallest-id neighbor one hop closer to the source
+    (deterministic shortest-path tree); -1 for the source and for
+    unreachable vertices."""
+    dist = bfs(g, source)[1]
     parent = [-1] * g.n
     for v in range(g.n):
-        if v == source or dist[v] == float("inf"):
-            continue
-        parent[v] = min(w for w in g.adjacency[v] if dist[w] == dist[v] - 1)
-    return dist, parent
+        if dist[v] > 0:
+            parent[v] = min(w for w in g.adjacency[v] if dist[w] == dist[v] - 1)
+    return parent
 
 
 def steiner_distance_3(g: Graph, terminals: Iterable[int]) -> SteinerResult:
@@ -88,7 +72,7 @@ def steiner_distance_3(g: Graph, terminals: Iterable[int]) -> SteinerResult:
     if not is_connected(g):
         raise ValueError("Steiner distance requires a connected graph")
 
-    dists = [bfs_distances(g, v) for v in s]
+    dists = [bfs(g, v)[1] for v in s]
     best_center = -1
     best_sum = float("inf")
     for v in range(g.n):
@@ -97,7 +81,7 @@ def steiner_distance_3(g: Graph, terminals: Iterable[int]) -> SteinerResult:
             best_sum = total
             best_center = v
 
-    _, parent = _min_parents(g, best_center)
+    parent = _min_parents(g, best_center)
     edges: set[tuple[int, int]] = set()
     for v in s:
         while v != best_center:

@@ -136,6 +136,20 @@ def rx3_brute(g: Graph, max_palette: int = 4):
     return None
 
 
+def distances_brute(g: Graph) -> list[list[float]]:
+    """All-pairs hop counts by Floyd-Warshall; math.inf where no path."""
+    inf = float("inf")
+    d = [[0 if a == b else inf for b in range(g.n)] for a in range(g.n)]
+    for u, v in g.edges:
+        d[u][v] = d[v][u] = 1
+    for w in range(g.n):
+        for a in range(g.n):
+            for b in range(g.n):
+                if d[a][w] + d[w][b] < d[a][b]:
+                    d[a][b] = d[a][w] + d[w][b]
+    return d
+
+
 def random_connected_graph(rng, n: int, extra_edges: int) -> Graph:
     """Random spanning tree plus up to extra_edges additional edges."""
     order = list(range(n))

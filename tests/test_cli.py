@@ -158,6 +158,7 @@ def test_input_errors_exit_4(tmp_path, capsys):
         ("--graph", '{"n": 3, "edges": [["0", 1], [1, 2]]}'),
         ("--graph", '{"n": 3, "edges": [[0, 1, 2], [1, 2]]}'),
         ("--graph", '{"n": 3.0, "edges": [[0, 1], [1, 2]]}'),
+        pytest.param("--graph", "[" * 100_000 + "]" * 100_000, id="--graph-deeply-nested"),
         ("--coloring", '{"palette": 2.9, "colors": [0, 1]}'),
         ("--coloring", '{"palette": "2", "colors": [0, 1]}'),
         ("--coloring", '{"palette": 2, "colors": "01"}'),

@@ -264,7 +264,9 @@ def test_numpy_colors_match_python_ints():
         path(3), EdgeColoring(np.array([0, 1]), 100), path(2), EdgeColoring((0,), 1)
     )
     assert report.coloring.palette_size == 101
-    for colors, palette in (((0.5, 1), 2), ((0, "1"), 2), ((0, 1), 2.0)):
+    for colors, palette in (
+        ((0.5, 1), 2), ((0, "1"), 2), ((0, 1), 2.0), ((True, False), 2), ((0, 1), True)
+    ):
         with pytest.raises(ValueError):
             EdgeColoring(colors, palette)
 

@@ -151,6 +151,11 @@ def test_bfs_edge_order():
     assert sorted(order) == list(range(g.m))
     first_u, first_v = g.edges[order[0]]
     assert 0 in (first_u, first_v)
+    # exact orders: neighbors visited in ascending id, edges by endpoint
+    assert bfs_edge_order(cartesian_product(path(2), path(3))[0]) == [3, 0, 4, 1, 5, 2, 6]
+    assert bfs_edge_order(cartesian_product(cycle(4), path(2))[0]) == [
+        8, 0, 6, 1, 7, 9, 2, 4, 11, 3, 5, 10
+    ]
 
 
 def test_relabeling_invariance():

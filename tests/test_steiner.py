@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowindex import (
     all_pairs_distances,
@@ -13,13 +15,14 @@ from rainbowindex import (
     complete,
     cycle,
     diameter,
+    is_connected,
     path,
     sdiam3,
     steiner_distance_3,
 )
 from rainbowindex.steiner import steiner_records, triples_by_steiner_desc
 
-from oracles import random_connected_graph, sdiam3_brute, steiner_brute
+from oracles import distances_brute, random_connected_graph, sdiam3_brute, steiner_brute
 
 
 def test_distance_examples():
@@ -38,6 +41,26 @@ def test_distance_matrix_invariants():
         assert np.all(np.diag(d) == 0)
         for a, b, c in combinations(range(g.n), 3):
             assert d[a, c] <= d[a, b] + d[b, c]
+
+
+@st.composite
+def any_graphs(draw):
+    """A graph on 0..9 vertices with any edge set, disconnected ones included."""
+    n = draw(st.integers(0, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(any_graphs())
+def test_distances_match_floyd_warshall(g):
+    want = distances_brute(g)
+    assert all_pairs_distances(g).tolist() == want
+    connected = g.n > 0 and math.inf not in want[0]
+    assert is_connected(g) == connected
+    if connected:
+        assert diameter(g) == max(map(max, want))
 
 
 def test_diameter():
