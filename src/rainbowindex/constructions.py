@@ -32,11 +32,8 @@ from .steiner import sdiam3
 
 class RoutedToFamilyError(ValueError):
     """The requested case is covered by a known family value instead of a
-    construction (e.g. both operands complete)."""
-
-    def __init__(self, message: str, route: str):
-        super().__init__(message)
-        self.route = route
+    construction: both operands are complete, so the derived graph is
+    complete and the complete-graph value applies."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,6 @@ def lex_coloring_h2(g: Graph, cg: EdgeColoring) -> ConstructionReport:
         raise RoutedToFamilyError(
             "complete left operand with a complete right operand is itself "
             "complete; use the complete-graph value",
-            route="complete",
         )
     _require_rainbow(g, cg, 3, "left")
     h = path(2)
@@ -183,10 +179,7 @@ def lex_coloring_general(
         raise RoutedToFamilyError(
             "both operands complete: the product is complete; use the "
             "complete-graph value",
-            route="complete",
         )
-    if not (is_connected(g) and is_connected(h)):
-        raise ValueError("operands must be connected")
     p = cg.palette_size
     if set(cg.colors) != set(range(p)):
         raise ValueError(
@@ -241,10 +234,8 @@ def join_coloring(
         raise RoutedToFamilyError(
             "both operands complete: the join is complete; use the "
             "complete-graph value",
-            route="complete",
         )
     derived = join(g, h)
-    mg, mh = g.m, h.m
 
     if s == 1:
         if ch is None:
@@ -260,7 +251,7 @@ def join_coloring(
                 "two-vertex case needs ch_rc, a rainbow-connected coloring of H"
             )
         # G is connected on two vertices, so its edge exists.
-        assert mg == 1, "two-vertex connected operand must have exactly one edge"
+        assert g.m == 1, "two-vertex connected operand must have exactly one edge"
         _require_rainbow(h, ch_rc, 2, "right")
         rc = ch_rc.palette_size
         colors = [rc + 2]  # the G edge

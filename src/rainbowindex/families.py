@@ -145,12 +145,9 @@ def _two_side_bipartite_value(t: int) -> tuple[int, bool]:
         return 4, False
     if 9 <= t <= 20:
         return 5, False
-    k = (1 + isqrt(1 + 4 * t)) // 2
+    k = (1 + isqrt(1 + 4 * t)) // 2  # largest k with k(k-1) <= t
     while k * (k - 1) < t:
         k += 1
-    while (k - 1) * (k - 2) >= t:
-        k -= 1
-    k = max(k, 6)
     return k, True
 
 

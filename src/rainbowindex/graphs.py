@@ -38,11 +38,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        """Per vertex: its neighbors in ascending order."""
+        return tuple(tuple(w for _, w in inc) for inc in self.incidence)
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -81,9 +78,10 @@ def as_int(value, what: str) -> int:
 def build_graph(n: int, edge_pairs: Iterable[Sequence[int]]) -> Graph:
     """Build a graph from vertex count and edge pairs.
 
-    Pairs are normalized to u < v.  Duplicates are dropped, keeping the
-    index of the first occurrence.  Self-loops and out-of-range endpoints
-    are rejected, and so is a vertex count that is not an integer.
+    Each pair is exactly two integer endpoints, normalized to u < v.
+    Duplicates are dropped, keeping the index of the first occurrence.
+    Self-loops and out-of-range endpoints are rejected, and so is a
+    vertex count that is not an integer.
     """
     n = as_int(n, "vertex count")
     if n < 0:
@@ -92,9 +90,10 @@ def build_graph(n: int, edge_pairs: Iterable[Sequence[int]]) -> Graph:
     edges: list[tuple[int, int]] = []
     for pair in edge_pairs:
         try:
-            u, v = as_int(pair[0], "an endpoint"), as_int(pair[1], "an endpoint")
+            u, v = pair
+            u, v = as_int(u, "an endpoint"), as_int(v, "an endpoint")
         except (TypeError, ValueError):
-            raise ValueError(f"edge endpoints must be integers: {pair!r}") from None
+            raise ValueError(f"an edge must be a pair of integers, got {pair!r}") from None
         if u == v:
             raise ValueError(f"self-loop rejected: ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
@@ -139,8 +138,11 @@ def bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff g has exactly one connected component (K_1 counts)."""
-    return g.n > 0 and len(bfs(g, 0)[0]) == g.n
+    """True iff g has exactly one connected component (K_1 counts).
+
+    Fewer than n - 1 edges cannot connect n vertices, so such a graph is
+    answered without a search and without a list of size n."""
+    return g.n > 0 and g.m >= g.n - 1 and len(bfs(g, 0)[0]) == g.n
 
 
 def is_complete(g: Graph) -> bool:
@@ -274,8 +276,9 @@ class SplitSpec:
     n2: frozenset[int]
 
 
-def validate_split(g: Graph, spec: SplitSpec) -> None:
-    v = spec.vertex
+def validate_split(g: Graph, spec: SplitSpec) -> int:
+    """Check ``spec`` against g and return the split vertex as an int."""
+    v = as_int(spec.vertex, "split vertex")
     if not (0 <= v < g.n):
         raise ValueError(f"split vertex {v} out of range")
     if spec.n1 & spec.n2:
@@ -286,6 +289,7 @@ def validate_split(g: Graph, spec: SplitSpec) -> None:
             f"parts do not cover the neighborhood of {v}: "
             f"{sorted(spec.n1 | spec.n2)} vs {sorted(nbhd)}"
         )
+    return v
 
 
 def split_vertex(
@@ -298,8 +302,7 @@ def split_vertex(
     indices: the source edge index in g, or None for the fresh edge.
     Original edges keep their indices.
     """
-    validate_split(g, spec)
-    v, v2 = spec.vertex, g.n
+    v, v2 = validate_split(g, spec), g.n
     pairs: list[tuple[int, int]] = []
     for a, b in g.edges:
         if a == v or b == v:
@@ -324,6 +327,7 @@ def subdivide_edge(
     vertex, so the u-side edge u-x inherits index e (and later the
     original color) while x-v is the fresh edge at the end.
     """
+    e = as_int(e, "edge index")
     if not (0 <= e < g.m):
         raise ValueError(f"edge index {e} out of range [0, {g.m})")
     u, v = g.edges[e]

@@ -51,14 +51,11 @@ class SolveResult:
 
 def lower_bound(g: Graph, k: int) -> int:
     """Steiner-diameter lower bound on the k-rainbow index (k=2: the
-    diameter; k=3: sdiam3).  Vacuous small graphs fall back to what the
-    vertex count supports."""
+    diameter; k=3: sdiam3, or the diameter when there is no 3-set)."""
     if as_int(k, "k") not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
     if not is_connected(g):
         raise ValueError("lower_bound requires a connected graph")
-    if g.n < 2:
-        return 0
     if k == 3 and g.n >= 3:
         return sdiam3(g)
     return diameter(g)
@@ -134,8 +131,6 @@ def _search_palette(
         colors[e] = None
         return False
 
-    if m == 0:
-        return []
     if dfs(0, -1):
         assert None not in colors  # a successful leaf assigned every edge
         return colors
@@ -165,21 +160,19 @@ def rx_exact(
     if g.m == 0:
         return SolveResult(0, EdgeColoring((), 0), 0, 0, True, 0, 0)
 
-    lb = max(1, lower_bound(g, k))
+    lb = lower_bound(g, k)
     order = bfs_edge_order(g)
     set_order = triples_by_steiner_desc(g) if k == 3 else list(combinations(range(g.n), 2))
     counter = [0]
-    proven = lb
     for c in range(lb, g.m + 1):
         try:
             found = _search_palette(g, c, order, set_order, counter, budget)
         except BudgetExhausted:
             fallback = EdgeColoring(tuple(range(g.m)), g.m)
             return SolveResult(
-                None, fallback, counter[0], lb, False, proven, g.m
+                None, fallback, counter[0], lb, False, c, g.m
             )
         if found is not None:
             witness = EdgeColoring(tuple(found), c)
             return SolveResult(c, witness, counter[0], lb, True, c, c)
-        proven = c + 1
     raise AssertionError("palette m admits the all-distinct coloring")

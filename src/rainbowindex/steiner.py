@@ -31,8 +31,6 @@ def diameter(g: Graph) -> int:
     """Largest pairwise distance; requires a connected graph."""
     if not is_connected(g):
         raise ValueError("diameter requires a connected graph")
-    if g.n == 1:
-        return 0
     return int(all_pairs_distances(g).max())
 
 

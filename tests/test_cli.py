@@ -27,6 +27,24 @@ def test_gen_and_round_trip(tmp_path, capsys):
     out2 = tmp_path / "g2.json"
     run(capsys, "gen", "--family", "cycle", "--n", "5", "-o", str(out2))
     assert out.read_bytes() == out2.read_bytes()
+    # without -o the graph goes to stdout
+    code, printed, _ = run(capsys, "gen", "--family", "cycle", "--n", "5")
+    assert code == 0 and json.loads(printed) == obj
+
+
+@pytest.mark.parametrize(
+    "kind, n, m",
+    [("cartesian", 6, 7), ("strong", 6, 11), ("lex", 6, 11), ("join", 5, 9)],
+)
+def test_product_kinds_to_stdout(tmp_path, capsys, kind, n, m):
+    # P3 and P2; without -o the derived graph goes to stdout
+    p3, p2 = tmp_path / "p3.json", tmp_path / "p2.json"
+    run(capsys, "gen", "--family", "path", "--n", "3", "-o", str(p3))
+    run(capsys, "gen", "--family", "path", "--n", "2", "-o", str(p2))
+    code, out, _ = run(capsys, "product", "--kind", kind, "--g", str(p3), "--h", str(p2))
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["n"] == n and len(obj["edges"]) == m
 
 
 def test_full_grid_workflow(tmp_path, capsys):
@@ -148,6 +166,10 @@ def test_input_errors_exit_4(tmp_path, capsys):
     assert code == 4
     assert "--cg" in json.loads(err.strip().splitlines()[-1])["detail"]
 
+    code, _, err = run(capsys, "color", "--op", "grid")
+    assert code == 4
+    assert "--dims" in json.loads(err.strip().splitlines()[-1])["detail"]
+
 
 @pytest.mark.parametrize(
     "flag, text",
@@ -159,6 +181,8 @@ def test_input_errors_exit_4(tmp_path, capsys):
         ("--graph", '{"n": 3, "edges": [[0, 1, 2], [1, 2]]}'),
         ("--graph", '{"n": 3.0, "edges": [[0, 1], [1, 2]]}'),
         pytest.param("--graph", "[" * 100_000 + "]" * 100_000, id="--graph-deeply-nested"),
+        # disconnected by its edge count alone: nothing of size n is built
+        pytest.param("--graph", f'{{"n": {10**30}, "edges": []}}', id="--graph-huge-n"),
         ("--coloring", '{"palette": 2.9, "colors": [0, 1]}'),
         ("--coloring", '{"palette": "2", "colors": [0, 1]}'),
         ("--coloring", '{"palette": 2, "colors": "01"}'),
@@ -175,8 +199,9 @@ def test_malformed_json_exits_4(tmp_path, capsys, flag, text):
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
     if flag == "--graph":
-        code, _, err = run(capsys, "sdiam", "--graph", str(g))
-        assert code == 4 and "Traceback" not in err
+        for argv in (["sdiam"], ["sdiam", "--triples"], ["solve"]):
+            code, out, err = run(capsys, *argv, "--graph", str(g))
+            assert code == 4 and out == "" and "Traceback" not in err
 
 
 def test_verify_palette_over_32(tmp_path, capsys):
@@ -197,6 +222,13 @@ def test_color_split_and_subdiv(tmp_path, capsys):
         "--vertex", "1", "--n1", "0", "--n2", "2",
     )
     assert code == 0 and json.loads(out)["ok"]
+    # an empty part appends a pendant vertex on a fresh color
+    code, out, _ = run(
+        capsys, "color", "--op", "split", "--g", str(g), "--cg", str(w),
+        "--vertex", "0", "--n1", "1,3", "--n2", "",
+    )
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] and rep["colors_used"] == 3
     code, out, _ = run(
         capsys, "color", "--op", "subdiv", "--g", str(g), "--cg", str(w), "--edge", "0"
     )
@@ -233,6 +265,14 @@ def test_color_lex_auto_dispatch(tmp_path, capsys):
         capsys, "color", "--op", "lex", "--g", str(p3), "--h", str(p3), "--cg", str(cg)
     )
     assert code == 4 and "ch-rc" in json.loads(err.strip().splitlines()[-1])["detail"]
+    rc = tmp_path / "rc.json"
+    run(capsys, "solve", "--graph", str(p3), "--k", "2", "--emit-witness", str(rc))
+    code, out, _ = run(
+        capsys, "color", "--op", "lex", "--g", str(p3), "--h", str(p3),
+        "--cg", str(cg), "--ch-rc", str(rc),
+    )
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] and rep["colors_used"] == 4
 
 
 def test_sdiam_records(tmp_path, capsys):
@@ -266,6 +306,13 @@ def test_oracle_command(capsys):
     assert obj["value"] == 5 and obj["tag"] == "bipartite-two-left"
     code, out, _ = run(capsys, "oracle", "--family", "path", "--n", "2")
     assert code == 0 and json.loads(out)["oracle"] is None
+    # right sides of at least 2 * 6**s carry the regime note
+    code, out, _ = run(
+        capsys, "oracle", "--family", "complete_bipartite", "--s", "3", "--t", "432"
+    )
+    obj = json.loads(out)
+    assert code == 0 and (obj["lower"], obj["upper"]) == (3, 6)
+    assert obj["note"] == "upper bound 6 is attained for right sides this large"
 
 
 def test_dot_outputs(tmp_path, capsys):

@@ -139,6 +139,17 @@ def test_lex_general_validation():
         lex_coloring_general(
             path(3), slack, path(3), solve_coloring(path(3), k=2)
         )
+    # a disconnected operand is rejected, on either side
+    two_edges = path(4).__class__(4, ((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="connected"):
+        lex_coloring_general(
+            two_edges, EdgeColoring((0, 1), 2), path(3), solve_coloring(path(3), k=2)
+        )
+    with pytest.raises(ValueError, match="connected"):
+        lex_coloring_general(
+            path(3), solve_coloring(path(3)), path(3).__class__(3, ((0, 1),)),
+            EdgeColoring((0,), 1),
+        )
 
 
 def test_lex_equality_class_certified():

@@ -56,6 +56,11 @@ def test_build_rejects_non_integral_endpoints():
         build_graph(3, [("0", 1)])
     with pytest.raises(ValueError, match="integers"):
         build_graph(3, [(True, 2)])
+    # an edge is exactly two endpoints: a longer, shorter or
+    # non-iterable pair is rejected, not truncated or left to IndexError
+    for pair in ((0, 1, 2), (0,), 5, None):
+        with pytest.raises(ValueError, match="integers"):
+            build_graph(3, [pair])
     # numpy integers are integral, so they are accepted
     g = build_graph(3, [(np.int64(0), np.int32(2))])
     assert g.edges == ((0, 2),) and type(g.edges[0][1]) is int
@@ -78,6 +83,10 @@ def test_connectivity():
     assert is_connected(path(3))
     assert not is_connected(empty(2))
     assert is_connected(cycle(5))
+    # fewer than n - 1 edges cannot connect n vertices; a huge empty graph
+    # is answered without building a per-vertex list
+    assert not is_connected(build_graph(10**30, []))
+    assert not is_connected(build_graph(10**30, [(0, 1)]))
     assert is_connected(path(1))
 
 
@@ -245,6 +254,14 @@ def test_split_validation():
         split_vertex(g, SplitSpec(0, frozenset({1}), frozenset({2})))
     with pytest.raises(ValueError):
         split_vertex(g, SplitSpec(9, frozenset(), frozenset()))
+    # the split vertex is an integer: numpy integers pass, floats and
+    # bools do not
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            split_vertex(g, SplitSpec(bad, frozenset({0}), frozenset()))
+    assert split_vertex(g, SplitSpec(np.int64(1), frozenset({0}), frozenset())) == (
+        split_vertex(g, SplitSpec(1, frozenset({0}), frozenset()))
+    )
 
 
 def test_subdivide():
@@ -259,6 +276,12 @@ def test_subdivide():
     assert p3.n == 3 and p3.m == 2 and is_connected(p3)
     with pytest.raises(ValueError):
         subdivide_edge(path(3), 5)
+    # the edge index is an integer: numpy integers pass, floats and bools
+    # do not
+    for bad in (True, 1.5, 1.0):
+        with pytest.raises(ValueError, match="integer"):
+            subdivide_edge(cycle(5), bad)
+    assert subdivide_edge(cycle(5), np.int64(1)) == subdivide_edge(cycle(5), 1)
 
 
 def test_subdivide_inherited_side():

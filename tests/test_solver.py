@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowindex import (
     EdgeColoring,
@@ -168,6 +170,36 @@ def test_relabeling_invariance():
             g.n, [(perm[u], perm[v]) for u, v in g.edges]
         )
         assert rx_exact(g, 3).value == rx_exact(relabeled, 3).value
+
+
+@st.composite
+def connected_graphs_with_relabeling(draw):
+    """A connected graph on 1..6 vertices with at most 7 edges (a random
+    spanning tree plus extra edges), and a copy of it with its vertices
+    permuted and its edges listed in another order."""
+    n = draw(st.integers(1, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = []
+    if others:
+        extra = draw(st.lists(st.sampled_from(others), unique=True, max_size=8 - n))
+    edges = draw(st.permutations(tree + extra))
+    perm = draw(st.permutations(range(n)))
+    copy_edges = draw(st.permutations([(perm[u], perm[v]) for u, v in edges]))
+    return build_graph(n, edges), build_graph(n, copy_edges)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(connected_graphs_with_relabeling())
+def test_solver_properties(pair):
+    g, relabeled = pair
+    for k in (2, 3):
+        res = rx_exact(g, k)
+        assert res.exact
+        assert rx_exact(relabeled, k).value == res.value
+        assert lower_bound(g, k) <= res.value <= g.m
+        assert is_k_rainbow(g, res.witness, k).ok
+        assert res.witness.colors_used == res.value
 
 
 def test_value_equals_steiner_bound_on_paths_and_grids():
