@@ -17,6 +17,7 @@ from .families import FamilySpec, oracle_rx3, path
 from .graphs import (
     Graph,
     SplitSpec,
+    as_int,
     cartesian_product,
     is_complete,
     is_connected,
@@ -103,8 +104,9 @@ def cartesian_coloring(
 def grid_coloring(dims: Sequence[int]) -> ConstructionReport:
     """Iterated Cartesian coloring of a grid of paths: sum(n_i) - k colors,
     certified exact because the grid's sdiam3 equals the same number."""
+    dims = [as_int(d, "grid dim") for d in dims]
     if len(dims) < 1 or any(d < 2 for d in dims):
-        raise ValueError(f"grid dims must each be >= 2, got {list(dims)}")
+        raise ValueError(f"grid dims must each be >= 2, got {dims}")
     graph = path(dims[0])
     coloring = EdgeColoring(tuple(range(graph.m)), graph.m)
     for d in dims[1:]:

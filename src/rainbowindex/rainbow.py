@@ -19,17 +19,17 @@ The reach search finds masks in order of size: all masks with p colors
 (closed over the uncolored edges first) before any with p + 1.  A mask
 is kept only if no mask already found at its vertex is a subset of it,
 and since no smaller mask can come later, a kept mask is never removed
-and no family is ever rebuilt.
+and no family is ever rebuilt.  So the families alone give the paths
+back (``_path_edges``), and rainbow-tree witnesses need no predecessor map.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, as_int, is_connected, vertex_triple
+from .graphs import Graph, as_int, bfs_parents, build_graph, is_connected, vertex_triple
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,13 @@ def _reach(
     g: Graph,
     colors: Sequence[Optional[int]],
     source: int,
-    record_preds: bool = False,
-):
+) -> list[list[int]]:
     """Antichains of minimal color masks reachable from ``source``.
 
     colors[e] is the color of edge e, or None for a color unique to that
-    edge (contributing nothing to masks).  Returns (families, preds):
-    families[t] is the list of minimal masks of rainbow paths source->t,
-    sorted by (popcount, value); preds maps (vertex, mask) to
-    (prev_vertex, prev_mask, edge) for path reconstruction.
+    edge (contributing nothing to masks).  families[t] is the list of
+    minimal masks of rainbow paths source->t, sorted by (popcount,
+    value); on a total coloring ``_path_edges`` reads the paths back.
 
     The search runs level by level: level p holds the states whose mask
     has p colors.  A level is first closed over uncolored edges (the
@@ -128,9 +126,6 @@ def _reach(
     incidence = g.incidence
     fams: list[list[int]] = [[] for _ in range(g.n)]
     fams[source] = [0]
-    preds: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
-    if record_preds:
-        preds[(source, 0)] = None
     level = [(source, 0)]
     while level:
         for v, mask in level:  # the level grows while it is closed
@@ -143,8 +138,6 @@ def _reach(
                         break
                 else:
                     fw.append(mask)
-                    if record_preds:
-                        preds[(w, mask)] = (v, mask, e)
                     level.append((w, mask))
         nxt = []
         for v, mask in level:
@@ -162,15 +155,13 @@ def _reach(
                         break
                 else:
                     fw.append(nm)
-                    if record_preds:
-                        preds[(w, nm)] = (v, mask, e)
                     nxt.append((w, nm))
         level = nxt
     for fam in fams:
         if len(fam) > 1:
             fam.sort()
             fam.sort(key=int.bit_count)
-    return fams, preds
+    return fams
 
 
 def rainbow_reach(
@@ -184,8 +175,7 @@ def rainbow_reach(
     source = as_int(source, "source")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
-    fams, _ = _reach(g, coloring.colors, source)
-    return fams
+    return _reach(g, coloring.colors, source)
 
 
 def _disjoint_triple(
@@ -204,13 +194,22 @@ def _disjoint_triple(
     return None
 
 
-def _walk_edges(preds, v: int, mask: int) -> list[int]:
+def _path_edges(
+    g: Graph, colors: Sequence[int], fams: list[list[int]], v: int, mask: int
+) -> list[int]:
+    """Edges of a rainbow path with color set ``mask`` from v back to the
+    source of ``fams``, the reach families of a total coloring.  A kept
+    mask M at v came from a neighbor over an edge of some color c in M,
+    and that neighbor still holds M - {c}: each step takes the first such
+    edge, minimality keeps the walk a path, and it ends at mask 0."""
     edges = []
-    state: Optional[tuple[int, int, int]] = preds[(v, mask)]
-    while state is not None:
-        u, pmask, e = state
+    while mask:
+        for e, w in g.incidence[v]:
+            bit = 1 << colors[e]
+            if mask & bit and (mask ^ bit) in fams[w]:
+                break
         edges.append(e)
-        state = preds[(u, pmask)]
+        v, mask = w, mask ^ bit
     return edges
 
 
@@ -219,49 +218,31 @@ def find_rainbow_tree(
     coloring: EdgeColoring,
     terminals: Iterable[int],
 ) -> Optional[tuple[int, ...]]:
-    """Edge indices of some rainbow tree containing the 3-set, or None.
+    """Edge indices of a rainbow tree containing the 3-set, or None.
 
-    Centers are tried in ascending order and reach-family members in
-    increasing cardinality, so the witness is deterministic.
+    The first center with pairwise color-disjoint reach masks to the
+    terminals, smallest masks first, gives three rainbow paths that use
+    no color twice; the witness is the ``bfs_parents`` shortest-path
+    tree of their union from that center.
     """
     _require_match(g, coloring)
-    s = a, b, c = vertex_triple(g, terminals)
-    reach = {}
-    pred = {}
-    for v in s:
-        reach[v], pred[v] = _reach(g, coloring.colors, v, record_preds=True)
+    s = vertex_triple(g, terminals)
+    colors = coloring.colors
+    reach = [_reach(g, colors, v) for v in s]
     for center in range(g.n):
-        hit = _disjoint_triple(reach[a][center], reach[b][center], reach[c][center])
+        hit = _disjoint_triple(*(fams[center] for fams in reach))
         if hit is None:
             continue
-        ma, mb, mc = hit
-        edges = set(_walk_edges(pred[a], center, ma))
-        edges.update(_walk_edges(pred[b], center, mb))
-        edges.update(_walk_edges(pred[c], center, mc))
-        return _spanning_tree_containing(g, edges)
+        union = build_graph(g.n, (
+            g.edges[e]
+            for fams, mask in zip(reach, hit)
+            for e in _path_edges(g, colors, fams, center, mask)
+        ))
+        parent = bfs_parents(union, center)
+        return tuple(sorted(
+            g.edge_index[min(v, p), max(v, p)] for v, p in enumerate(parent) if p >= 0
+        ))
     return None
-
-
-def _spanning_tree_containing(g: Graph, edge_ids: set[int]) -> tuple[int, ...]:
-    """Spanning tree (as edge indices) of the subgraph induced by
-    ``edge_ids``; since all its colors are distinct, any tree works."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for e in sorted(edge_ids):
-        u, v = g.edges[e]
-        adj.setdefault(u, []).append((e, v))
-        adj.setdefault(v, []).append((e, u))
-    root = min(adj) if adj else 0
-    seen = {root}
-    tree: list[int] = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for e, w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                tree.append(e)
-                queue.append(w)
-    return tuple(sorted(tree))
 
 
 def has_rainbow_tree(
@@ -299,7 +280,7 @@ def _first_bad_set(
     def reach_row(v: int) -> list[list[int]]:
         row = rows[v]
         if row is None:
-            row = rows[v] = _reach(g, colors, v)[0]
+            row = rows[v] = _reach(g, colors, v)
         return row
 
     def centers(a: int, b: int) -> int:
@@ -344,6 +325,14 @@ def _first_bad_set(
     return None
 
 
+def as_k(k) -> int:
+    """The set size ``k`` as an int: 2 or 3, else ValueError."""
+    k = as_int(k, "k")
+    if k not in (2, 3):
+        raise ValueError(f"k must be 2 or 3, got {k}")
+    return k
+
+
 def is_k_rainbow(
     g: Graph,
     coloring: EdgeColoring,
@@ -354,8 +343,7 @@ def is_k_rainbow(
 
     The failing verdict carries the lexicographically first bad set.
     """
-    if as_int(k, "k") not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k}")
+    k = as_k(k)
     _require_match(g, coloring)
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")

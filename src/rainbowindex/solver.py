@@ -19,7 +19,7 @@ from math import ceil
 from typing import Optional
 
 from .graphs import Graph, as_int, bfs, is_connected
-from .rainbow import EdgeColoring, partial_failure
+from .rainbow import EdgeColoring, as_k, partial_failure
 from .steiner import diameter, sdiam3, triples_by_steiner_desc
 
 DEFAULT_BUDGET = 10**8
@@ -52,8 +52,7 @@ class SolveResult:
 def lower_bound(g: Graph, k: int) -> int:
     """Steiner-diameter lower bound on the k-rainbow index (k=2: the
     diameter; k=3: sdiam3, or the diameter when there is no 3-set)."""
-    if as_int(k, "k") not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k}")
+    k = as_k(k)
     if not is_connected(g):
         raise ValueError("lower_bound requires a connected graph")
     if k == 3 and g.n >= 3:
@@ -150,8 +149,7 @@ def rx_exact(
     k-set is vacuously colorable with one color.  ``budget`` caps the
     search nodes; it must be nonnegative.
     """
-    if as_int(k, "k") not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k}")
+    k = as_k(k)
     budget = as_int(budget, "budget")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")

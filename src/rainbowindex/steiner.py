@@ -4,7 +4,8 @@ A minimum tree through three terminals is either a path through them or
 a spider with one branch vertex, so its size is the minimum over all
 centers v of d(v,a) + d(v,b) + d(v,c).  Everything here exploits that
 identity; it does not hold for four or more terminals.  Every distance
-comes from ``graphs.bfs``, the one breadth-first search.  The per-triple
+comes from ``graphs.bfs``, the one breadth-first search, and witness
+paths follow its ``graphs.bfs_parents`` tree.  The per-triple
 values behind ``sdiam3``, ``steiner_records`` and
 ``triples_by_steiner_desc`` come from one blockwise pass,
 ``_steiner_blocks``, whose working memory is O(n^2).
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, bfs, is_connected, vertex_triple
+from .graphs import Graph, bfs, bfs_parents, is_connected, vertex_triple
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -47,18 +48,6 @@ class SteinerResult:
     center: int
 
 
-def _min_parents(g: Graph, source: int) -> list[int]:
-    """Per vertex, the smallest-id neighbor one hop closer to the source
-    (deterministic shortest-path tree); -1 for the source and for
-    unreachable vertices."""
-    dist = bfs(g, source)[1]
-    parent = [-1] * g.n
-    for v in range(g.n):
-        if dist[v] > 0:
-            parent[v] = min(w for w in g.adjacency[v] if dist[w] == dist[v] - 1)
-    return parent
-
-
 def steiner_distance_3(g: Graph, terminals: Iterable[int]) -> SteinerResult:
     """Steiner distance of a 3-set, with a witness tree.
 
@@ -79,7 +68,7 @@ def steiner_distance_3(g: Graph, terminals: Iterable[int]) -> SteinerResult:
             best_sum = total
             best_center = v
 
-    parent = _min_parents(g, best_center)
+    parent = bfs_parents(g, best_center)
     edges: set[tuple[int, int]] = set()
     for v in s:
         while v != best_center:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rainbowindex import (
@@ -75,6 +76,11 @@ def test_grid_colorings():
         grid_coloring((1, 3))
     with pytest.raises(ValueError):
         grid_coloring(())
+    # dims are integers: strings, floats and bools are rejected, numpy passes
+    for dims in (["3", "4"], (3.0, 4), (True, 3)):
+        with pytest.raises(ValueError, match="grid dim must be an integer"):
+            grid_coloring(dims)
+    assert grid_coloring(np.array([4, 3])).colors_used == 5
 
 
 def test_strong_colorings():

@@ -27,6 +27,7 @@ from rainbowindex.rainbow import (
 )
 
 from oracles import (
+    _edges_connected,
     covered_triples,
     has_rainbow_tree_brute,
     path_color_sets,
@@ -120,7 +121,7 @@ def test_relaxed_reach_matches_path_enumeration():
             palette + g.m,
         )
         s = rng.randrange(g.n)
-        fams, _ = _reach(g, colors, s)
+        fams = _reach(g, colors, s)
         for t in range(g.n):
             concrete = {
                 frozenset(c for c in cs if c < palette)
@@ -134,7 +135,7 @@ def test_relaxed_reach_matches_path_enumeration():
     g = path(301)
     whole = list(range(300))
     for colors in (whole, [None if c % 3 == 0 else c for c in whole]):
-        fams, _ = _reach(g, colors, 0)
+        fams = _reach(g, colors, 0)
         for t in range(301):
             assert fams[t] == [sum(1 << c for c in colors[:t] if c is not None)]
 
@@ -237,13 +238,28 @@ def colored_graphs(draw):
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(colored_graphs())
-def test_k2_failing_pair_is_first_pair_without_rainbow_path(gc):
+def test_failing_sets_and_rainbow_trees_match_brute_oracles(gc):
+    # k=2: the first pair with no rainbow path; k=3: the first triple that
+    # no rainbow tree covers, and a valid witness for every covered triple
     g, c = gc
     want = next(
         (p for p in combinations(range(g.n), 2) if not path_color_sets(g, c, *p)), None
     )
     verdict = is_k_rainbow(g, c, 2)
     assert verdict.failing == want and verdict.ok == (want is None)
+    covered = covered_triples(g, c)
+    triples = list(combinations(range(g.n), 3))
+    want = next((s for s in triples if s not in covered), None)
+    verdict = is_k_rainbow(g, c, 3)
+    assert verdict.failing == want and verdict.ok == (want is None)
+    for s in triples:
+        tree = find_rainbow_tree(g, c, s)
+        assert (tree is None) == (s not in covered)
+        if tree is None:
+            continue
+        verts = {v for e in tree for v in g.edges[e]}
+        assert len({c.colors[e] for e in tree}) == len(tree) == len(verts) - 1
+        assert set(s) <= verts and _edges_connected(g, tree, verts)
 
 
 def test_numpy_colors_match_python_ints():
