@@ -21,13 +21,28 @@ is kept only if no mask already found at its vertex is a subset of it,
 and since no smaller mask can come later, a kept mask is never removed
 and no family is ever rebuilt.  So the families alone give the paths
 back (``_path_edges``), and rainbow-tree witnesses need no predecessor map.
+
+The k=3 check of ``is_k_rainbow`` puts an exact singleton-center filter
+in front of that scan (``_singleton_pairs``, ``_unsettled_triples``): a
+center x whose three families each hold one mask, pairwise disjoint,
+settles the triple, and numpy settles whole blocks of triples that way
+at once.  Only the triples it leaves open go through the scan, in
+lexicographic order, so verdicts and first failing sets are unchanged.
+The filter needs every reach row.  It is built only after the lazy scan
+has passed the first 2n - 2 triples, which build them all, so colorings
+that fail early build no more rows than before; and only when more than
+n * n triples remain and at least half of the (vertex, center) entries
+are single masks, since otherwise it would cost more than it settles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from itertools import chain, combinations, dropwhile, islice
+from math import comb
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .graphs import Graph, as_int, bfs_parents, build_graph, is_connected, vertex_triple
 
@@ -258,12 +273,83 @@ def has_rainbow_tree(
 # Whole-graph verdicts
 # ---------------------------------------------------------------------------
 
+# Array elements in one numpy step of the singleton-center filter: this
+# bounds its working memory (64 KB per uint64 array), never its result.
+_STEP_ELEMENTS = 1 << 13
+_WORD = (1 << 64) - 1
+
+
+def _singleton_pairs(fams: list[list[list[int]]], top: int) -> Optional[np.ndarray]:
+    """Pair bitsets of the singleton-center filter, or None when fewer
+    than half of the (vertex, center) entries are single masks: the
+    filter would then settle few triples for its cost.
+
+    fams[v] is the reach row of v on a total coloring whose highest
+    color is ``top``.  Bit x of ``pair[a, b]`` (n x n rows of uint64
+    words) is set when fams[a][x] and fams[b][x] are each one mask and
+    the two are disjoint.  Each entry becomes ``top + 1`` bits in uint64
+    words: its mask if it is single, else all ones.  All ones clashes
+    with itself and with every nonempty mask, and of the three entries
+    of a triple at x at most one is empty (mask 0, the one of x itself),
+    so x settles no triple with a non-single entry among them.
+    """
+    n = len(fams)
+    bits = top + 1
+    poison = (1 << bits) - 1
+    flat = [f[0] if len(f) == 1 else poison for row in fams for f in row]
+    if 2 * flat.count(poison) > n * n:
+        return None
+    words = [
+        np.array(flat if bits <= 64 else [m >> s & _WORD for m in flat], np.uint64)
+        .reshape(n, n)
+        for s in range(0, bits, 64)
+    ]
+    pair = np.zeros((n, n, 8 * -(-n // 64)), np.uint8)
+    step = max(1, _STEP_ELEMENTS // (n * n))
+    for a0 in range(0, n, step):
+        free = (words[0][a0 : a0 + step, None] & words[0]) == 0
+        for w in words[1:]:
+            free &= (w[a0 : a0 + step, None] & w) == 0
+        pair[a0 : a0 + step, :, : -(-n // 8)] = np.packbits(free, axis=-1)
+    return pair.view(np.uint64)
+
+
+def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """Every 3-set {a, b, c} that the singleton-center filter leaves
+    open, in lexicographic order.
+
+    The filter settles {a, b, c} when some center x has fams[a][x],
+    fams[b][x] and fams[c][x] each one mask, pairwise disjoint:
+    ``_disjoint_triple`` passes at x with those very masks, so a settled
+    triple has a rainbow tree.  That is pair[a, b] & pair[a, c] &
+    pair[b, c] nonzero (``_singleton_pairs``), computed for a block of
+    first vertices a and all b < c above them at once.
+    """
+    n = len(pair)
+    step = max(1, _STEP_ELEMENTS // (n * n))
+    upper = np.arange(n)[:, None] < np.arange(n)
+    for a0 in range(0, n - 2, step):
+        a1, lo = min(a0 + step, n - 2), a0 + 1
+        common = np.zeros((a1 - a0, n - lo, n - lo), np.uint64)
+        for w in range(pair.shape[2]):
+            pa = pair[a0:a1, lo:, w]
+            both = pa[:, None, :] & pair[lo:, lo:, w]
+            both &= pa[:, :, None]
+            common |= both
+        unsettled = (common == 0) & upper[a0:a1, lo:, None] & upper[lo:, lo:]
+        ab, c = np.divmod(np.flatnonzero(unsettled), n - lo)
+        a, b = np.divmod(ab, n - lo)
+        yield from zip((a + a0).tolist(), (b + lo).tolist(), (c + lo).tolist())
+
+
 def _first_bad_set(
     g: Graph,
     colors: Sequence[Optional[int]],
-    order: Iterable[tuple[int, ...]],
+    order: Optional[Iterable[tuple[int, ...]]],
 ) -> Optional[tuple[int, ...]]:
     """First pair or triple of ``order`` with no rainbow tree, or None.
+    ``order=None`` stands for every triple in lexicographic order, the
+    k=3 check of ``is_k_rainbow``, and needs a total coloring.
 
     Reach rows are computed when a set first needs them.  A pair (a, b)
     fails when fams[a][b] is empty.  For a triple, bit x of
@@ -272,6 +358,21 @@ def _first_bad_set(
     pairs of the triple, so only the centers in the intersection are
     tried, in ascending order, and a pair with no center settles the
     triple before the remaining pairs are built.
+
+    With ``order=None`` the first 2n - 2 triples go through the loop
+    alone: the n - 2 triples {0, 1, c}, then n more.  A coloring that
+    fails among them builds only the rows it needs.  Passing {0, 1, c}
+    builds ``centers(0, c)`` and so every row, and each further triple
+    builds one new pair bitset of n entries, so by then the loop has
+    spent about the n * n entry visits that building the
+    singleton-center filter takes.  If more than n * n triples remain
+    (fewer cost the loop less than that) and ``_singleton_pairs`` finds
+    at least half of the entries single, the rest pass through
+    ``_unsettled_triples`` and only the triples it leaves open reach the
+    loop, still in lexicographic order; otherwise they all go through
+    the loop.  The filter settles only triples that have a rainbow tree,
+    so verdicts and first failing sets are those of the plain loop;
+    partial colorings and other orders never meet it.
     """
     n = g.n
     rows: list[Optional[list[list[int]]]] = [None] * n
@@ -302,6 +403,21 @@ def _first_bad_set(
             pairs[key] = bits
         return bits
 
+    def lex_parts(lex: Iterator[tuple[int, ...]]) -> Iterator[Iterable[tuple[int, ...]]]:
+        head = list(islice(lex, 2 * n - 2))
+        yield head
+        # asked for only once every triple of the head has passed
+        pair = _singleton_pairs(rows, max(colors))
+        if pair is None:
+            yield lex
+        else:
+            last = head[-1]
+            yield dropwhile(lambda t: t <= last, _unsettled_triples(pair))
+
+    if order is None:
+        order = combinations(range(n), 3)
+        if comb(n, 3) - (2 * n - 2) > n * n:
+            order = chain.from_iterable(lex_parts(order))
     for vs in order:
         if len(vs) == 2:
             if not reach_row(vs[0])[vs[1]]:
@@ -347,7 +463,8 @@ def is_k_rainbow(
     _require_match(g, coloring)
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")
-    bad = _first_bad_set(g, coloring.colors, combinations(range(g.n), k))
+    order = combinations(range(g.n), 2) if k == 2 else None
+    bad = _first_bad_set(g, coloring.colors, order)
     return Verdict(bad is None, bad)
 
 

@@ -1,12 +1,16 @@
 import random
+from functools import cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowindex import (
     EdgeColoring,
     RoutedToFamilyError,
     SplitSpec,
+    build_graph,
     cartesian_coloring,
     complete,
     cycle,
@@ -296,3 +300,73 @@ def test_equality_class_for_steiner_tight_operands():
             assert rep.ok
             assert sdiam3(rep.derived_graph) == rg.value + rh.value
             assert rep.colors_used <= rg.value + rh.value
+
+
+OPERANDS = {
+    "P2": path(2), "P3": path(3), "P4": path(4),
+    "C4": cycle(4), "C5": cycle(5), "K3": complete(3), "K4": complete(4),
+}
+
+
+@cache
+def witness(name, k=3):
+    """The solver's witness coloring of an operand."""
+    return solve_coloring(OPERANDS[name], k)
+
+
+@cache
+def exact_value(n, edges):
+    return rx_exact(build_graph(n, edges), 3).value
+
+
+@st.composite
+def small_constructions(draw):
+    """One construction on operands from P2-P4, C4-C5 and K3-K4 with the
+    solver's witnesses as operand colorings; the kinds a pair of operands
+    does not admit are never drawn."""
+    g, h = draw(st.sampled_from(sorted(OPERANDS))), draw(st.sampled_from(sorted(OPERANDS)))
+    G, H = OPERANDS[g], OPERANDS[h]
+    kinds = ["cartesian", "strong", "split", "subdivision"]
+    if not is_complete(G):
+        kinds.append("lex_h2")
+    if H.n >= 3 and not (is_complete(G) and is_complete(H)):
+        if set(witness(g).colors) == set(range(witness(g).palette_size)):
+            kinds.append("lex_general")
+    if G.n <= H.n and not (is_complete(G) and is_complete(H)):
+        kinds.append("join")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cartesian":
+        return partial(cartesian_coloring, G, witness(g), H, witness(h))
+    if kind == "strong":
+        return partial(strong_coloring, G, witness(g), H, witness(h))
+    if kind == "lex_h2":
+        return partial(lex_coloring_h2, G, witness(g))
+    if kind == "lex_general":
+        return partial(lex_coloring_general, G, witness(g), H, witness(h, 2))
+    if kind == "join":
+        if G.n == 2:
+            return partial(join_coloring, G, H, ch_rc=witness(h, 2))
+        return partial(join_coloring, G, H, cg=witness(g), ch=witness(h))
+    if kind == "split":
+        v = draw(st.integers(0, G.n - 1))
+        side = draw(st.lists(st.booleans(), min_size=G.degree(v), max_size=G.degree(v)))
+        parts = ([], [])
+        for u, second in zip(sorted(G.neighbors(v)), side):
+            parts[second].append(u)
+        spec = SplitSpec(v, frozenset(parts[0]), frozenset(parts[1]))
+        return partial(split_coloring, G, witness(g), spec)
+    e = draw(st.integers(0, G.m - 1))
+    return partial(subdivision_coloring, G, witness(g), e)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(small_constructions())
+def test_construction_properties(construct):
+    # every construction keeps its palette promise and verifies, and on
+    # small derived graphs the exact index never exceeds the colors used
+    report = construct()
+    assert report.colors_used <= report.claimed_bound
+    assert report.verified.ok
+    g = report.derived_graph
+    if g.m <= 9:
+        assert exact_value(g.n, g.edges) <= report.colors_used

@@ -12,6 +12,7 @@ from rainbowindex import (
     cartesian_coloring,
     cycle,
     find_rainbow_tree,
+    grid_coloring,
     has_rainbow_tree,
     is_k_rainbow,
     path,
@@ -21,6 +22,8 @@ from rainbowindex import (
 )
 from rainbowindex.rainbow import (
     _reach,
+    _singleton_pairs,
+    _unsettled_triples,
     coloring_from_json_dict,
     coloring_to_json_dict,
     partial_failure,
@@ -392,3 +395,95 @@ def test_partial_failure_returns_first_failing_triple_of_order():
         assert partial_failure(g, colors, pairs) == want
         pair_failures += want is not None
     assert failures > 5 and pair_failures > 5
+
+
+def test_block_pass_on_long_paths_with_wide_masks():
+    # P70 and P101 with all-distinct colors 0..n-2 (masks of 69 and 100
+    # bits), 0-3 edges recolored to repeat a color.  {a, b, c} has a
+    # rainbow tree iff the subpath between its outermost vertices repeats
+    # no color.  A repeat fails a triple {0, 1, c} unless it straddles
+    # vertices 0 and 1, so the renamed paths put them mid-path, between
+    # the two edges of their first repeat.
+    rng = random.Random(83)
+    early = late = 0
+    for n, repeats, renamed in product((70, 101), range(4), (False, True)):
+        mid = n // 2
+        order = list(range(n))
+        if renamed:
+            order = rng.sample(range(2, n), n - 2)
+            order[mid:mid] = [0, 1]
+        colors = list(range(n - 1))
+        for i in range(repeats):
+            if renamed and i == 0:
+                e, f = rng.randrange(mid), rng.randrange(mid + 1, n - 1)
+            else:
+                e, f = rng.sample(range(n - 1), 2)
+            colors[e] = colors[f]
+        g = build_graph(n, [(order[i], order[i + 1]) for i in range(n - 1)])
+        c = EdgeColoring(tuple(colors), n - 1)
+        pos = {v: i for i, v in enumerate(order)}
+        # the subpath from position lo to hi repeats a color iff hi >= limit[lo]
+        limit = []
+        for lo in range(n):
+            seen, hi = set(), lo
+            while hi < n - 1 and colors[hi] not in seen:
+                seen.add(colors[hi])
+                hi += 1
+            limit.append(hi + 1 if hi < n - 1 else n)
+
+        def covered(s):
+            ps = [pos[v] for v in s]
+            return max(ps) < limit[min(ps)]
+
+        uncovered = sum(hi - lo - 1 for lo in range(n) for hi in range(limit[lo], n))
+        want = None
+        if uncovered:
+            want = next(s for s in combinations(range(n), 3) if not covered(s))
+            early += want[:2] == (0, 1)
+            late += want[:2] != (0, 1)
+        verdict = is_k_rainbow(g, c, 3)
+        assert verdict.failing == want and verdict.ok == (want is None)
+        assert (want is None) == (repeats == 0)
+        # on a path the filter leaves open exactly the uncovered triples,
+        # in lexicographic order
+        pair = _singleton_pairs([_reach(g, colors, v) for v in range(n)], max(colors))
+        assert pair is not None
+        unsettled = list(_unsettled_triples(pair))
+        assert unsettled == sorted(set(unsettled)) and len(unsettled) == uncovered
+        assert not any(covered(s) for s in unsettled)
+    assert early > 0 and late > 0
+
+
+def renamed_vertices(g, rng):
+    """g with its vertices renamed at random and its edge indices kept."""
+    name = rng.sample(range(g.n), g.n)
+    return build_graph(g.n, [(name[u], name[v]) for u, v in g.edges])
+
+
+def test_block_pass_on_recolored_products():
+    # recolored grid and Cartesian colorings (n <= 30), in their own vertex
+    # order and renamed; find_rainbow_tree, which runs no scan, gives the
+    # first triple with no rainbow tree
+    rng = random.Random(89)
+    c4, c5 = (rx_exact(cycle(n), 3).witness for n in (4, 5))
+    p5 = EdgeColoring((0, 1, 2, 3), 4)
+    reports = [grid_coloring((5, 5)), grid_coloring((3, 3, 3)), grid_coloring((5, 6)),
+               cartesian_coloring(cycle(5), c5, path(5), p5),
+               cartesian_coloring(cycle(5), c5, cycle(4), c4)]
+    early = late = 0
+    for report in reports:
+        g, c = report.derived_graph, report.coloring
+        assert report.ok
+        for _ in range(3):
+            e = rng.randrange(g.m)
+            colors = list(c.colors)
+            colors[e] = (colors[e] + 1) % c.palette_size
+            bad = EdgeColoring(tuple(colors), c.palette_size)
+            for h in (g, renamed_vertices(g, rng)):
+                want = next((s for s in combinations(range(h.n), 3)
+                             if find_rainbow_tree(h, bad, s) is None), None)
+                assert is_k_rainbow(h, bad, 3).failing == want
+                if want is not None:
+                    early += want[:2] == (0, 1)
+                    late += want[:2] != (0, 1)
+    assert early > 0 and late > 0
