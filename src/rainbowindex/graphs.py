@@ -41,7 +41,11 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex: its neighbors in ascending order."""
-        return tuple(tuple(w for _, w in inc) for inc in self.incidence)
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -79,6 +79,17 @@ def test_build_dedup_keeps_first_index():
     assert g.edge_index[(0, 1)] == 0
 
 
+def test_adjacency_follows_incidence_order():
+    rng = random.Random(19)
+    for _ in range(30):
+        n = rng.randrange(1, 12)
+        pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.4]
+        rng.shuffle(pairs)
+        g = build_graph(n, [p if rng.random() < 0.5 else p[::-1] for p in pairs])
+        for v in range(n):
+            assert g.adjacency[v] == tuple(w for _, w in g.incidence[v])
+
+
 def test_connectivity():
     assert is_connected(path(3))
     assert not is_connected(empty(2))

@@ -13,14 +13,16 @@ from rainbowindex import (
     build_graph,
     cartesian_product,
     complete,
+    complete_bipartite,
     cycle,
     diameter,
     is_connected,
     path,
     sdiam3,
+    star,
     steiner_distance_3,
 )
-from rainbowindex.steiner import steiner_records, triples_by_steiner_desc
+from rainbowindex.steiner import _steiner_blocks, steiner_records, triples_by_steiner_desc
 
 from oracles import distances_brute, random_connected_graph, sdiam3_brute, steiner_brute
 
@@ -30,6 +32,19 @@ def test_distance_examples():
     assert all_pairs_distances(cycle(6))[0, 3] == 3
     d = all_pairs_distances(build_graph(3, [(0, 1)]))
     assert math.isinf(d[0, 2])
+
+
+def test_all_pairs_distances_rejects_unindexable_size():
+    with pytest.raises(ValueError):
+        all_pairs_distances(build_graph(10**30, []))
+    d = all_pairs_distances(build_graph(4, [(0, 1), (2, 3)]))
+    assert d.dtype == float
+    assert d.tolist() == [
+        [0, 1, math.inf, math.inf],
+        [1, 0, math.inf, math.inf],
+        [math.inf, math.inf, 0, 1],
+        [math.inf, math.inf, 1, 0],
+    ]
 
 
 def test_distance_matrix_invariants():
@@ -157,6 +172,59 @@ def test_sdiam3_matches_brute():
         for r in records:
             assert type(r["d"]) is int
             assert r["d"] == steiner_brute(g, r["triple"])
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on 3..9 vertices: a random spanning tree under a
+    random labeling, plus up to five more edges."""
+    n = draw(st.integers(3, 9))
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[i], label[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+    return build_graph(n, pairs + [(u, v) for u, v in extra if u != v])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_sdiam3_bounded_search_is_exact(g):
+    assert is_connected(g)
+    full = max(r["d"] for r in steiner_records(g))
+    assert sdiam3(g) == sdiam3_brute(g) == full
+
+
+def _grid(dims):
+    g = path(dims[0])
+    for d in dims[1:]:
+        g = cartesian_product(g, path(d))[0]
+    return g
+
+
+def _connected_gnp(rng, n):
+    while True:
+        g = build_graph(
+            n, [p for p in combinations(range(n), 2) if rng.random() < 4 / n]
+        )
+        if is_connected(g):
+            return g
+
+
+def test_sdiam3_equals_full_blocks_where_bounds_tie():
+    # cycles, paths, cliques, stars, complete bipartite graphs and grids
+    # have many 3-sets whose bounds meet or nearly meet the maximum
+    rng = random.Random(53)
+    graphs = [cycle(n) for n in range(3, 14)]
+    graphs += [path(n) for n in range(3, 13)]
+    graphs += [complete(n) for n in range(3, 9)]
+    graphs += [star(n) for n in range(3, 12)]
+    graphs += [complete_bipartite(s, t) for s in range(1, 5) for t in range(max(s, 2), 6)]
+    graphs += [_grid((r, c)) for r in range(2, 7) for c in range(r, 7)]
+    graphs += [_grid(dims) for dims in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))]
+    graphs += [_connected_gnp(rng, rng.randrange(5, 41)) for _ in range(30)]
+    for g in graphs:
+        full = max(int(vals.max()) for _, _, vals in _steiner_blocks(g))
+        assert sdiam3(g) == full, g
 
 
 def test_triples_by_steiner_desc_matches_stable_brute_sort():
