@@ -363,8 +363,10 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 def graph_from_json_dict(obj: dict) -> Graph:
     """Parse ``{"n": int, "edges": [[u, v], ...]}``; file order defines
-    edge indices.  JSON types are checked exactly: a bool, float or
-    string is not an integer, and an edge has exactly two endpoints."""
+    edge indices, so an edge listed twice, in either orientation, is an
+    error rather than a dropped duplicate that would shift every later
+    index.  JSON types are checked exactly: a bool, float or string is
+    not an integer, and an edge has exactly two endpoints."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("malformed graph object: need keys 'n' and 'edges'")
     n, pairs = obj["n"], obj["edges"]
@@ -384,7 +386,15 @@ def graph_from_json_dict(obj: dict) -> Graph:
             raise ValueError(
                 f"malformed graph object: edge {pair!r} is not a pair of integers"
             )
-    return build_graph(n, pairs)
+    g = build_graph(n, pairs)
+    if g.m != len(pairs):
+        seen = set()
+        for u, v in pairs:
+            key = frozenset((u, v))
+            if key in seen:
+                raise ValueError(f"malformed graph object: edge {[u, v]} is repeated")
+            seen.add(key)
+    return g
 
 
 def dump_json(obj: dict, path: str) -> None:

@@ -22,6 +22,14 @@ and since no smaller mask can come later, a kept mask is never removed
 and no family is ever rebuilt.  So the families alone give the paths
 back (``_path_edges``), and rainbow-tree witnesses need no predecessor map.
 
+A pair (a, b) fails only when no rainbow path joins a and b, so pairs
+need reachability, not antichains.  A row built for pairs stops at the
+end of the first level after which every target above its source holds
+a mask, and a target still empty when the search ends on its own is the
+failing pair.  Pair (a, b) reads the row of min(a, b), since a rainbow
+path reversed is still one.  A row cut short that way never serves a
+triple; a complete row may serve a pair.
+
 The k=3 check of ``is_k_rainbow`` puts an exact singleton-center filter
 in front of that scan (``_singleton_pairs``, ``_unsettled_triples``): a
 center x whose three families each hold one mask, pairwise disjoint,
@@ -120,6 +128,7 @@ def _reach(
     g: Graph,
     colors: Sequence[Optional[int]],
     source: int,
+    pairs: bool = False,
 ) -> list[list[int]]:
     """Antichains of minimal color masks reachable from ``source``.
 
@@ -137,10 +146,19 @@ def _reach(
     either dominated by a member or incomparable to all of them: nothing
     is ever removed, and every state found is expanded.  On a total
     coloring this is the breadth-first order, one color per step.
+
+    ``pairs=True`` asks for a row that serves pairs only: the search
+    returns, unsorted, at the end of the first level after which every
+    target t > source holds a mask, since a pair (source, t) needs only
+    to know that fams[t] is nonempty.  A target still empty when the
+    search ends on its own is unreachable.  Such a cut row lacks masks,
+    so it must never serve a triple.  The rule is checked once per
+    level, not per insertion, so complete rows pay nothing for it.
     """
-    incidence = g.incidence
-    fams: list[list[int]] = [[] for _ in range(g.n)]
+    n, incidence = g.n, g.incidence
+    fams: list[list[int]] = [[] for _ in range(n)]
     fams[source] = [0]
+    lo = source + 1  # with pairs: no target below lo is still empty
     level = [(source, 0)]
     while level:
         for v, mask in level:  # the level grows while it is closed
@@ -172,6 +190,11 @@ def _reach(
                     fw.append(nm)
                     nxt.append((w, nm))
         level = nxt
+        if pairs:
+            while lo < n and fams[lo]:
+                lo += 1
+            if lo == n:
+                return fams
     for fam in fams:
         if len(fam) > 1:
             fam.sort()
@@ -351,8 +374,13 @@ def _first_bad_set(
     ``order=None`` stands for every triple in lexicographic order, the
     k=3 check of ``is_k_rainbow``, and needs a total coloring.
 
-    Reach rows are computed when a set first needs them.  A pair (a, b)
-    fails when fams[a][b] is empty.  For a triple, bit x of
+    Reach rows are computed when a set first needs them, and the set's
+    size picks the kind of row.  A pair (a, b), in either orientation,
+    fails when fams[min][max] is empty; it reads the complete row of
+    min(a, b) if one is built, else a row cut short for pairs
+    (``_reach(..., pairs=True)``), which stops after the level that
+    gives the last target above its source a mask.  Cut rows are kept
+    apart and never serve a triple.  For a triple, bit x of
     ``centers(a, b)`` says that some mask of fams[a][x] is disjoint from
     some mask of fams[b][x].  A tree at center x needs that for all three
     pairs of the triple, so only the centers in the intersection are
@@ -376,6 +404,7 @@ def _first_bad_set(
     """
     n = g.n
     rows: list[Optional[list[list[int]]]] = [None] * n
+    cut: dict[int, list[list[int]]] = {}  # rows cut short for pairs
     pairs: dict[int, int] = {}
 
     def reach_row(v: int) -> list[list[int]]:
@@ -420,7 +449,11 @@ def _first_bad_set(
             order = chain.from_iterable(lex_parts(order))
     for vs in order:
         if len(vs) == 2:
-            if not reach_row(vs[0])[vs[1]]:
+            a, b = vs if vs[0] < vs[1] else vs[::-1]
+            row = rows[a] or cut.get(a)
+            if row is None:
+                row = cut[a] = _reach(g, colors, a, pairs=True)
+            if not row[b]:
                 return vs
             continue
         a, b, c = vs

@@ -180,6 +180,9 @@ def test_input_errors_exit_4(tmp_path, capsys):
         ("--graph", '{"n": 3, "edges": [["0", 1], [1, 2]]}'),
         ("--graph", '{"n": 3, "edges": [[0, 1, 2], [1, 2]]}'),
         ("--graph", '{"n": 3.0, "edges": [[0, 1], [1, 2]]}'),
+        # a repeat would shift every later edge index of the coloring file
+        ("--graph", '{"n": 3, "edges": [[0, 1], [1, 0], [1, 2]]}'),
+        ("--graph", '{"n": 3, "edges": [[0, 1], [1, 2], [0, 1]]}'),
         pytest.param("--graph", "[" * 100_000 + "]" * 100_000, id="--graph-deeply-nested"),
         # disconnected by its edge count alone: nothing of size n is built
         pytest.param("--graph", f'{{"n": {10**30}, "edges": []}}', id="--graph-huge-n"),

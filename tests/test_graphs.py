@@ -77,6 +77,10 @@ def test_build_dedup_keeps_first_index():
     g = build_graph(3, [(1, 0), (1, 2), (0, 1)])
     assert g.edges == ((0, 1), (1, 2))
     assert g.edge_index[(0, 1)] == 0
+    # a file's order defines edge indices, so the JSON reader refuses what
+    # build_graph would drop
+    with pytest.raises(ValueError, match=r"edge \[0, 1\] is repeated"):
+        graph_from_json_dict({"n": 3, "edges": [[1, 0], [1, 2], [0, 1]]})
 
 
 def test_adjacency_follows_incidence_order():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from rainbowindex import (
     EdgeColoring,
+    Verdict,
     build_graph,
     cartesian_coloring,
+    complete,
     cycle,
     find_rainbow_tree,
     grid_coloring,
@@ -225,6 +227,21 @@ def test_k2_short_circuit():
     assert is_k_rainbow(path(3), EdgeColoring((0, 1), 2), 2).ok
 
 
+def test_k2_has_no_size_cliff():
+    # a pair needs one mask per target, so an all-distinct K40 (780
+    # colors, masks far wider than 64 bits) is settled after one level
+    g = complete(40)
+    assert is_k_rainbow(g, EdgeColoring(tuple(range(g.m)), g.m), 2).ok
+    # P300 with edges i < j sharing a color: (0, j + 1) is the first pair
+    # whose path holds both, and row 0 runs to its natural end
+    g = path(300)
+    for i, j in ((0, 1), (17, 250), (297, 298)):
+        colors = list(range(g.m))
+        colors[j] = i
+        verdict = is_k_rainbow(g, EdgeColoring(tuple(colors), g.m), 2)
+        assert verdict == Verdict(False, (0, j + 1))
+
+
 @st.composite
 def colored_graphs(draw):
     """A small connected graph (a random tree plus extra edges) with a
@@ -395,6 +412,47 @@ def test_partial_failure_returns_first_failing_triple_of_order():
         assert partial_failure(g, colors, pairs) == want
         pair_failures += want is not None
     assert failures > 5 and pair_failures > 5
+
+
+def test_partial_failure_on_mixed_orders():
+    # pairs in both orientations mixed with triples: a row cut short for
+    # pairs must serve neither a triple nor a reversed pair.  Shuffled
+    # orders catch a reversed pair; putting the pairs first cuts rows
+    # before any triple asks for them.
+    rng = random.Random(73)
+    # the row of 3 stops once 4 has a mask, before it reaches 0, 1 or 2
+    g = build_graph(5, [(0, 1), (1, 2), (2, 4), (4, 3)])
+    for pair in ((3, 4), (4, 3)):
+        assert partial_failure(g, [0, 1, 2, 3], [pair, (0, 1, 3)]) is None
+    failures = pair_failures = 0
+    for _ in range(60):
+        n = rng.randrange(3, 9)
+        g = random_connected_graph(rng, n, rng.randrange(n // 2 + 1))
+        palette = rng.randrange(1, g.m + 1)
+        colors = [
+            rng.randrange(palette) if rng.random() < 0.5 else None
+            for _ in range(g.m)
+        ]
+        full = materialize_fresh(colors, palette)
+        covered = covered_triples(g, full)
+        pairs = [p if rng.random() < 0.5 else p[::-1] for p in combinations(range(n), 2)]
+        triples = list(combinations(range(n), 3))
+        rng.shuffle(pairs)
+        rng.shuffle(triples)
+        mixed = pairs + triples
+        rng.shuffle(mixed)
+        for order in (mixed, pairs + triples):
+            want = next(
+                (
+                    s for s in order
+                    if (not path_color_sets(g, full, *s) if len(s) == 2 else s not in covered)
+                ),
+                None,
+            )
+            assert partial_failure(g, colors, order) == want
+            failures += want is not None
+            pair_failures += want is not None and len(want) == 2
+    assert failures > 10 and pair_failures > 5
 
 
 def test_block_pass_on_long_paths_with_wide_masks():
