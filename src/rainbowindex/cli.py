@@ -170,6 +170,8 @@ def _dispatch_color(args: argparse.Namespace, run: _Run):
         g, cg = run.read_graph(args.g), run.read_coloring(args.cg)
         h = run.read_graph(args.h)
         if h.n == 2:
+            if h.m != 1:
+                raise ValueError("a two-vertex right operand of lex must be K2")
             return constructions.lex_coloring_h2(g, cg)
         if args.ch_rc is None:
             raise ValueError("general lexicographic case needs --ch-rc")

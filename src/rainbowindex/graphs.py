@@ -6,10 +6,8 @@ stable edge index; nothing ever renumbers edges after construction.
 All derived graphs (products, join, split, subdivision) come with
 provenance back to the operands so colorings can be transported.
 ``bfs`` is the one breadth-first search over a graph: connectivity,
-all-pairs distances and the solver's edge order read its visit order or
-its hop counts, and ``bfs_parents`` builds from them the one
-shortest-path tree rule that Steiner witnesses and rainbow-tree
-witnesses share.
+all-pairs distances, Steiner witnesses and the solver's edge order read
+its visit order or its hop counts.
 """
 
 from __future__ import annotations
@@ -141,18 +139,6 @@ def bfs(g: Graph, source: int) -> tuple[list[int], list[int]]:
                 dist[w] = d
                 order.append(w)
     return order, dist
-
-
-def bfs_parents(g: Graph, source: int) -> list[int]:
-    """Per vertex, the smallest-id neighbor one hop closer to ``source``
-    (deterministic shortest-path tree); -1 for the source and for
-    unreachable vertices."""
-    dist = bfs(g, source)[1]
-    parent = [-1] * g.n
-    for v in range(g.n):
-        if dist[v] > 0:
-            parent[v] = min(w for w in g.adjacency[v] if dist[w] == dist[v] - 1)
-    return parent
 
 
 def is_connected(g: Graph) -> bool:

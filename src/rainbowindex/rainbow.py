@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, as_int, bfs_parents, build_graph, is_connected, vertex_triple
+from .graphs import Graph, as_int, is_connected, vertex_triple
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,9 @@ def rainbow_reach(
     source: int,
 ) -> list[list[int]]:
     """Per target vertex, the antichain of minimal color sets (as
-    bitmasks) achievable by rainbow paths from ``source``."""
+    bitmasks) achievable by rainbow paths from ``source``.  Bit c of a
+    mask is color id c itself, so a mask has as many bits as the largest
+    color id used, plus one."""
     _require_match(g, coloring)
     source = as_int(source, "source")
     if not (0 <= source < g.n):
@@ -216,39 +218,57 @@ def rainbow_reach(
     return _reach(g, coloring.colors, source)
 
 
-def _disjoint_triple(
-    fa: list[int], fb: list[int], fc: list[int]
-) -> Optional[tuple[int, int, int]]:
-    """First pairwise-disjoint (ma, mb, mc), families already sorted by
-    increasing cardinality."""
-    for ma in fa:
-        for mb in fb:
-            if ma & mb:
-                continue
-            mab = ma | mb
-            for mc in fc:
-                if not (mab & mc):
-                    return ma, mb, mc
+def _ranked(colors: Sequence[int]) -> list[int]:
+    """Each color replaced by its rank among the distinct colors.
+
+    Color ids are only compared for equality, so the verdicts and
+    witnesses read the ranks instead, and a mask then has one bit per
+    color used, however large the ids.  Ranks keep the order of the ids,
+    so the order of masks, and with it every failing set and witness,
+    stays the same."""
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [rank[c] for c in colors]
+
+
+def _tree_center(
+    fa: list[list[int]], fb: list[list[int]], fc: list[list[int]], centers: int
+) -> Optional[tuple[int, int, int, int]]:
+    """First center x, in ascending order of the bits of ``centers``,
+    where fa[x], fb[x] and fc[x] hold pairwise-disjoint masks, as
+    (x, ma, mb, mc), or None.  fa, fb and fc are complete reach rows,
+    whose families are sorted by increasing cardinality, so the first
+    disjoint masks at x are tried smallest first."""
+    while centers:
+        low = centers & -centers
+        x = low.bit_length() - 1
+        for ma in fa[x]:
+            for mb in fb[x]:
+                if ma & mb:
+                    continue
+                mab = ma | mb
+                for mc in fc[x]:
+                    if not mab & mc:
+                        return x, ma, mb, mc
+        centers ^= low
     return None
 
 
 def _path_edges(
     g: Graph, colors: Sequence[int], fams: list[list[int]], v: int, mask: int
-) -> list[int]:
-    """Edges of a rainbow path with color set ``mask`` from v back to the
-    source of ``fams``, the reach families of a total coloring.  A kept
-    mask M at v came from a neighbor over an edge of some color c in M,
-    and that neighbor still holds M - {c}: each step takes the first such
-    edge, minimality keeps the walk a path, and it ends at mask 0."""
-    edges = []
+) -> Iterator[tuple[int, int]]:
+    """Steps (edge, next vertex) of a rainbow path with color set
+    ``mask`` from v back to the source of ``fams``, the reach families of
+    a total coloring.  A kept mask M at v came from a neighbor over an
+    edge of some color c in M, and that neighbor still holds M - {c}:
+    each step takes the first such edge, minimality keeps the walk a
+    path, and it ends at mask 0."""
     while mask:
         for e, w in g.incidence[v]:
             bit = 1 << colors[e]
             if mask & bit and (mask ^ bit) in fams[w]:
                 break
-        edges.append(e)
+        yield e, w
         v, mask = w, mask ^ bit
-    return edges
 
 
 def find_rainbow_tree(
@@ -258,29 +278,29 @@ def find_rainbow_tree(
 ) -> Optional[tuple[int, ...]]:
     """Edge indices of a rainbow tree containing the 3-set, or None.
 
-    The first center with pairwise color-disjoint reach masks to the
-    terminals, smallest masks first, gives three rainbow paths that use
-    no color twice; the witness is the ``bfs_parents`` shortest-path
-    tree of their union from that center.
+    ``_tree_center`` gives the first center with pairwise color-disjoint
+    reach masks to the terminals, smallest masks first, and so three
+    rainbow paths that use no color twice.  The witness walks each path
+    out from the center and keeps an edge only when it reaches a new
+    vertex: each kept edge hangs a new vertex on one already reached, so
+    the kept edges form a tree through the terminals.
     """
     _require_match(g, coloring)
     s = vertex_triple(g, terminals)
-    colors = coloring.colors
+    colors = _ranked(coloring.colors)
     reach = [_reach(g, colors, v) for v in s]
-    for center in range(g.n):
-        hit = _disjoint_triple(*(fams[center] for fams in reach))
-        if hit is None:
-            continue
-        union = build_graph(g.n, (
-            g.edges[e]
-            for fams, mask in zip(reach, hit)
-            for e in _path_edges(g, colors, fams, center, mask)
-        ))
-        parent = bfs_parents(union, center)
-        return tuple(sorted(
-            g.edge_index[min(v, p), max(v, p)] for v, p in enumerate(parent) if p >= 0
-        ))
-    return None
+    hit = _tree_center(*reach, (1 << g.n) - 1)
+    if hit is None:
+        return None
+    center, *masks = hit
+    seen = {center}
+    tree = []
+    for fams, mask in zip(reach, masks):
+        for e, w in _path_edges(g, colors, fams, center, mask):
+            if w not in seen:
+                seen.add(w)
+                tree.append(e)
+    return tuple(sorted(tree))
 
 
 def has_rainbow_tree(
@@ -308,9 +328,11 @@ def _singleton_pairs(fams: list[list[list[int]]], top: int) -> Optional[np.ndarr
     filter would then settle few triples for its cost.
 
     fams[v] is the reach row of v on a total coloring whose highest
-    color is ``top``.  Bit x of ``pair[a, b]`` (n x n rows of uint64
-    words) is set when fams[a][x] and fams[b][x] are each one mask and
-    the two are disjoint.  Each entry becomes ``top + 1`` bits in uint64
+    color is ``top`` (a rank, so ``top + 1`` colors are in use).  Bit x
+    of ``pair[a, b]`` (n x n rows of uint64 words) is set when fams[a][x]
+    and fams[b][x] are each one mask and the two are disjoint, so
+    ``_tree_center`` passes at every x set in all three pair bitsets of
+    a triple.  Each entry becomes ``top + 1`` bits in uint64
     words: its mask if it is single, else all ones.  All ones clashes
     with itself and with every nonempty mask, and of the three entries
     of a triple at x at most one is empty (mask 0, the one of x itself),
@@ -343,7 +365,7 @@ def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
 
     The filter settles {a, b, c} when some center x has fams[a][x],
     fams[b][x] and fams[c][x] each one mask, pairwise disjoint:
-    ``_disjoint_triple`` passes at x with those very masks, so a settled
+    ``_tree_center`` passes at x with those very masks, so a settled
     triple has a rainbow tree.  That is pair[a, b] & pair[a, c] &
     pair[b, c] nonzero (``_singleton_pairs``), computed for a block of
     first vertices a and all b < c above them at once.
@@ -383,9 +405,9 @@ def _first_bad_set(
     apart and never serve a triple.  For a triple, bit x of
     ``centers(a, b)`` says that some mask of fams[a][x] is disjoint from
     some mask of fams[b][x].  A tree at center x needs that for all three
-    pairs of the triple, so only the centers in the intersection are
-    tried, in ascending order, and a pair with no center settles the
-    triple before the remaining pairs are built.
+    pairs of the triple, so only the centers in the intersection go to
+    ``_tree_center``, and a pair with no center settles the triple
+    before the remaining pairs are built.
 
     With ``order=None`` the first 2n - 2 triples go through the loop
     alone: the n - 2 triples {0, 1, c}, then n more.  A coloring that
@@ -462,14 +484,7 @@ def _first_bad_set(
             common &= centers(a, c)
         if common:
             common &= centers(b, c)
-        fa, fb, fc = rows[a], rows[b], rows[c]
-        while common:
-            low = common & -common
-            x = low.bit_length() - 1
-            if _disjoint_triple(fa[x], fb[x], fc[x]):
-                break
-            common ^= low
-        else:
+        if not common or _tree_center(rows[a], rows[b], rows[c], common) is None:
             return vs
     return None
 
@@ -497,7 +512,7 @@ def is_k_rainbow(
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")
     order = combinations(range(g.n), 2) if k == 2 else None
-    bad = _first_bad_set(g, coloring.colors, order)
+    bad = _first_bad_set(g, _ranked(coloring.colors), order)
     return Verdict(bad is None, bad)
 
 

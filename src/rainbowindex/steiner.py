@@ -4,9 +4,10 @@ A minimum tree through three terminals is either a path through them or
 a spider with one branch vertex, so its size is the minimum over all
 centers v of d(v,a) + d(v,b) + d(v,c).  Everything here exploits that
 identity; it does not hold for four or more terminals.  Every distance
-comes from ``graphs.bfs``, the one breadth-first search, and witness
-paths follow its ``graphs.bfs_parents`` tree.  The minimum over centers
-is written once, in ``_steiner_values``.
+comes from ``graphs.bfs``, the one breadth-first search, and the witness
+paths of ``steiner_distance_3`` walk down the terminals' own BFS rows.
+``_steiner_values`` takes the minimum over centers for batches of
+3-sets; ``steiner_distance_3`` takes the argmin for a single set.
 
 With S = d(a,b) + d(a,c) + d(b,c), every 3-set has two bounds that cost
 O(1) from the distance matrix:
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, bfs, bfs_parents, is_connected, vertex_triple
+from .graphs import Graph, bfs, is_connected, vertex_triple
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -71,35 +72,30 @@ class SteinerResult:
 def steiner_distance_3(g: Graph, terminals: Iterable[int]) -> SteinerResult:
     """Steiner distance of a 3-set, with a witness tree.
 
-    Ties broken toward the smallest center id; witness paths follow the
-    smallest-parent shortest-path tree from the center, so outputs are
-    reproducible.
+    The center is the first vertex minimizing the sum of the terminals'
+    BFS rows.  Each witness path walks down its terminal's own row from
+    the center, stepping to the smallest-id neighbor one hop closer, so
+    outputs are reproducible and the three searches are all it runs: the
+    first of them also tells whether g is connected.
     """
-    s = vertex_triple(g, terminals)
-    if not is_connected(g):
+    dists = [bfs(g, v)[1] for v in vertex_triple(g, terminals)]
+    if -1 in dists[0]:
         raise ValueError("Steiner distance requires a connected graph")
-
-    dists = [bfs(g, v)[1] for v in s]
-    best_center = -1
-    best_sum = float("inf")
-    for v in range(g.n):
-        total = dists[0][v] + dists[1][v] + dists[2][v]
-        if total < best_sum:
-            best_sum = total
-            best_center = v
-
-    parent = bfs_parents(g, best_center)
+    totals = [sum(ds) for ds in zip(*dists)]
+    best_sum = min(totals)
+    center = totals.index(best_sum)
     edges: set[tuple[int, int]] = set()
-    for v in s:
-        while v != best_center:
-            p = parent[v]
-            edges.add((min(v, p), max(v, p)))
-            v = p
+    for dist in dists:
+        v = center
+        while dist[v]:
+            w = min(w for w in g.adjacency[v] if dist[w] == dist[v] - 1)
+            edges.add((min(v, w), max(v, w)))
+            v = w
     witness = tuple(sorted(edges))
     # At the minimizing center the three tree paths are edge-disjoint, so
     # the union size equals the distance sum.
-    assert len(witness) == int(best_sum)
-    return SteinerResult(len(witness), witness, best_center)
+    assert len(witness) == best_sum
+    return SteinerResult(best_sum, witness, center)
 
 
 # Array elements in one numpy step of sdiam3's exact evaluations: this

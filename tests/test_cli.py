@@ -263,6 +263,13 @@ def test_color_lex_auto_dispatch(tmp_path, capsys):
         capsys, "color", "--op", "lex", "--g", str(p3), "--h", str(k2), "--cg", str(cg)
     )
     assert code == 0 and json.loads(out)["colors_used"] == 3
+    # an edgeless two-vertex right operand is not K2
+    e2 = tmp_path / "e2.json"
+    e2.write_text('{"n": 2, "edges": []}')
+    code, out, err = run(
+        capsys, "color", "--op", "lex", "--g", str(p3), "--h", str(e2), "--cg", str(cg)
+    )
+    assert code == 4 and out == "" and "K2" in json.loads(err.strip().splitlines()[-1])["detail"]
     # three-vertex right operand requires the rainbow-connected coloring
     code, _, err = run(
         capsys, "color", "--op", "lex", "--g", str(p3), "--h", str(p3), "--cg", str(cg)

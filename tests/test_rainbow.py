@@ -186,7 +186,33 @@ def test_rainbow_tree_witness_structure():
         verts = {v for e in tree for v in g.edges[e]}
         assert set(s) <= verts
         assert len(tree) == len(verts) - 1
+        assert _edges_connected(g, tree, verts)
     assert found > 10
+
+
+def test_rainbow_tree_where_paths_meet_away_from_center():
+    # Center 1: the paths 1-3-0 and 1-2-3 share vertex 3, and their four
+    # edges hold the cycle 1-2-3; the witness keeps three of them.
+    g = build_graph(4, [(0, 3), (2, 3), (1, 3), (1, 2)])
+    c = EdgeColoring((2, 4, 0, 3), 5)
+    tree = find_rainbow_tree(g, c, (0, 1, 3))
+    verts = {v for e in tree for v in g.edges[e]}
+    assert len(tree) == 3 and {0, 1, 3} <= verts
+    assert len({c.colors[e] for e in tree}) == 3
+    assert _edges_connected(g, tree, verts)
+
+
+def test_huge_color_ids_give_the_same_results():
+    g = path(101)
+    c = EdgeColoring(tuple(i % 60 for i in range(100)), 60)
+    big = EdgeColoring(tuple(x * 10**6 + 7 for x in c.colors), 59 * 10**6 + 8)
+    for k in (2, 3):
+        assert is_k_rainbow(g, big, k) == is_k_rainbow(g, c, k) != Verdict(True)
+    for s in ((0, 1, 60), (0, 1, 61), (10, 40, 69), (20, 50, 90)):
+        assert find_rainbow_tree(g, big, s) == find_rainbow_tree(g, c, s)
+    huge = EdgeColoring((0, 10**30), 10**30 + 1)
+    assert is_k_rainbow(path(3), huge, 3).ok
+    assert find_rainbow_tree(path(3), huge, (0, 1, 2)) == (0, 1)
 
 
 def test_rainbow_tree_matches_brute_oracle():
