@@ -30,17 +30,18 @@ failing pair.  Pair (a, b) reads the row of min(a, b), since a rainbow
 path reversed is still one.  A row cut short that way never serves a
 triple; a complete row may serve a pair.
 
-The k=3 check of ``is_k_rainbow`` puts an exact singleton-center filter
-in front of that scan (``_singleton_pairs``, ``_unsettled_triples``): a
-center x whose three families each hold one mask, pairwise disjoint,
-settles the triple, and numpy settles whole blocks of triples that way
-at once.  Only the triples it leaves open go through the scan, in
+The k=3 check of ``is_k_rainbow`` puts an exact first-mask filter in
+front of that scan (``_first_mask_pairs``, ``_unsettled_triples``): a
+center x where the first (smallest) masks of the three families are
+pairwise disjoint settles the triple, since those masks are real
+rainbow paths, and numpy settles whole blocks of triples that way at
+once.  Only the triples it leaves open go through the scan, in
 lexicographic order, so verdicts and first failing sets are unchanged.
 The filter needs every reach row.  It is built only after the lazy scan
-has passed the first 2n - 2 triples, which build them all, so colorings
-that fail early build no more rows than before; and only when more than
-n * n triples remain and at least half of the (vertex, center) entries
-are single masks, since otherwise it would cost more than it settles.
+has passed the n - 2 triples {0, 1, c}, which build them all, so
+colorings that fail early build no more rows than before; and only when
+more than n * n triples remain, since otherwise it would cost more than
+it settles.
 """
 
 from __future__ import annotations
@@ -316,34 +317,30 @@ def has_rainbow_tree(
 # Whole-graph verdicts
 # ---------------------------------------------------------------------------
 
-# Array elements in one numpy step of the singleton-center filter: this
+# Array elements in one numpy step of the first-mask filter: this
 # bounds its working memory (64 KB per uint64 array), never its result.
 _STEP_ELEMENTS = 1 << 13
 _WORD = (1 << 64) - 1
 
 
-def _singleton_pairs(fams: list[list[list[int]]], top: int) -> Optional[np.ndarray]:
-    """Pair bitsets of the singleton-center filter, or None when fewer
-    than half of the (vertex, center) entries are single masks: the
-    filter would then settle few triples for its cost.
+def _first_mask_pairs(fams: list[list[list[int]]], top: int) -> np.ndarray:
+    """Pair bitsets of the first-mask filter.
 
-    fams[v] is the reach row of v on a total coloring whose highest
-    color is ``top`` (a rank, so ``top + 1`` colors are in use).  Bit x
-    of ``pair[a, b]`` (n x n rows of uint64 words) is set when fams[a][x]
-    and fams[b][x] are each one mask and the two are disjoint, so
-    ``_tree_center`` passes at every x set in all three pair bitsets of
-    a triple.  Each entry becomes ``top + 1`` bits in uint64
-    words: its mask if it is single, else all ones.  All ones clashes
-    with itself and with every nonempty mask, and of the three entries
-    of a triple at x at most one is empty (mask 0, the one of x itself),
-    so x settles no triple with a non-single entry among them.
+    fams[v] is the complete reach row of v on a total coloring whose
+    highest color is ``top`` (a rank, so ``top + 1`` colors are in use).
+    Each (vertex, center) entry becomes ``top + 1`` bits in uint64 words:
+    the first mask of its family, which is a smallest one, or all ones
+    when the family is empty.  Bit x of ``pair[a, b]`` (n x n rows of
+    uint64 words) is set when the entries of a and b at x are disjoint.
+    All ones clashes with itself and with every nonempty mask, and only
+    x's own entry is mask 0, so an empty family settles nothing: a center
+    set in all three pair bitsets of a triple has three real,
+    pairwise-disjoint masks, and ``_tree_center`` passes there.
     """
     n = len(fams)
     bits = top + 1
-    poison = (1 << bits) - 1
-    flat = [f[0] if len(f) == 1 else poison for row in fams for f in row]
-    if 2 * flat.count(poison) > n * n:
-        return None
+    empty = (1 << bits) - 1
+    flat = [f[0] if f else empty for row in fams for f in row]
     words = [
         np.array(flat if bits <= 64 else [m >> s & _WORD for m in flat], np.uint64)
         .reshape(n, n)
@@ -360,15 +357,16 @@ def _singleton_pairs(fams: list[list[list[int]]], top: int) -> Optional[np.ndarr
 
 
 def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
-    """Every 3-set {a, b, c} that the singleton-center filter leaves
-    open, in lexicographic order.
+    """Every 3-set {a, b, c} that the first-mask filter leaves open, in
+    lexicographic order.
 
-    The filter settles {a, b, c} when some center x has fams[a][x],
-    fams[b][x] and fams[c][x] each one mask, pairwise disjoint:
-    ``_tree_center`` passes at x with those very masks, so a settled
-    triple has a rainbow tree.  That is pair[a, b] & pair[a, c] &
-    pair[b, c] nonzero (``_singleton_pairs``), computed for a block of
-    first vertices a and all b < c above them at once.
+    The filter settles {a, b, c} when some center x has the first masks
+    of fams[a][x], fams[b][x] and fams[c][x] pairwise disjoint: each is
+    the mask of a real rainbow path to x, so ``_tree_center`` passes at
+    x with those very masks, and a settled triple has a rainbow tree.
+    That is pair[a, b] & pair[a, c] & pair[b, c] nonzero
+    (``_first_mask_pairs``), computed for a block of first vertices a and
+    all b < c above them at once.
     """
     n = len(pair)
     step = max(1, _STEP_ELEMENTS // (n * n))
@@ -409,20 +407,16 @@ def _first_bad_set(
     ``_tree_center``, and a pair with no center settles the triple
     before the remaining pairs are built.
 
-    With ``order=None`` the first 2n - 2 triples go through the loop
-    alone: the n - 2 triples {0, 1, c}, then n more.  A coloring that
-    fails among them builds only the rows it needs.  Passing {0, 1, c}
-    builds ``centers(0, c)`` and so every row, and each further triple
-    builds one new pair bitset of n entries, so by then the loop has
-    spent about the n * n entry visits that building the
-    singleton-center filter takes.  If more than n * n triples remain
-    (fewer cost the loop less than that) and ``_singleton_pairs`` finds
-    at least half of the entries single, the rest pass through
-    ``_unsettled_triples`` and only the triples it leaves open reach the
-    loop, still in lexicographic order; otherwise they all go through
-    the loop.  The filter settles only triples that have a rainbow tree,
-    so verdicts and first failing sets are those of the plain loop;
-    partial colorings and other orders never meet it.
+    With ``order=None`` the n - 2 triples {0, 1, c} go through the loop
+    alone, so a coloring that fails among them builds only the rows it
+    needs.  Passing them all builds every row, which is all that the
+    first-mask filter needs.  If more than n * n triples remain (fewer
+    cost the loop less than building the filter's n * n entries), the
+    rest pass through ``_unsettled_triples`` and only the triples it
+    leaves open reach the loop, still in lexicographic order.  The
+    filter settles only triples that have a rainbow tree, so verdicts
+    and first failing sets are those of the plain loop; partial
+    colorings and other orders never meet it.
     """
     n = g.n
     rows: list[Optional[list[list[int]]]] = [None] * n
@@ -455,19 +449,16 @@ def _first_bad_set(
         return bits
 
     def lex_parts(lex: Iterator[tuple[int, ...]]) -> Iterator[Iterable[tuple[int, ...]]]:
-        head = list(islice(lex, 2 * n - 2))
+        head = list(islice(lex, n - 2))
         yield head
         # asked for only once every triple of the head has passed
-        pair = _singleton_pairs(rows, max(colors))
-        if pair is None:
-            yield lex
-        else:
-            last = head[-1]
-            yield dropwhile(lambda t: t <= last, _unsettled_triples(pair))
+        pair = _first_mask_pairs(rows, max(colors))
+        last = head[-1]
+        yield dropwhile(lambda t: t <= last, _unsettled_triples(pair))
 
     if order is None:
         order = combinations(range(n), 3)
-        if comb(n, 3) - (2 * n - 2) > n * n:
+        if comb(n, 3) - (n - 2) > n * n:
             order = chain.from_iterable(lex_parts(order))
     for vs in order:
         if len(vs) == 2:

@@ -23,8 +23,8 @@ from rainbowindex import (
     star,
 )
 from rainbowindex.rainbow import (
+    _first_mask_pairs,
     _reach,
-    _singleton_pairs,
     _unsettled_triples,
     coloring_from_json_dict,
     coloring_to_json_dict,
@@ -530,12 +530,39 @@ def test_block_pass_on_long_paths_with_wide_masks():
         assert (want is None) == (repeats == 0)
         # on a path the filter leaves open exactly the uncovered triples,
         # in lexicographic order
-        pair = _singleton_pairs([_reach(g, colors, v) for v in range(n)], max(colors))
-        assert pair is not None
+        pair = _first_mask_pairs([_reach(g, colors, v) for v in range(n)], max(colors))
         unsettled = list(_unsettled_triples(pair))
         assert unsettled == sorted(set(unsettled)) and len(unsettled) == uncovered
         assert not any(covered(s) for s in unsettled)
     assert early > 0 and late > 0
+
+
+def test_first_mask_filter_is_sound_on_multi_mask_families():
+    # palettes of 2-4 colors leave many families with two or more masks;
+    # the filter leaves open, in order, exactly the triples with no center
+    # whose three first masks are pairwise disjoint, and every triple it
+    # settles is one that the brute-force oracle covers
+    rng = random.Random(97)
+    beyond_single = 0
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randrange(5, 9), rng.randrange(2, 7))
+        c = random_coloring(rng, g.m, rng.randrange(2, 5))
+        fams = [_reach(g, c.colors, v) for v in range(g.n)]
+
+        def centers(t):
+            return [x for x in range(g.n)
+                    if all(fams[v][x] for v in t)
+                    and not any(fams[u][x][0] & fams[v][x][0] for u, v in combinations(t, 2))]
+
+        unsettled = list(_unsettled_triples(_first_mask_pairs(fams, max(c.colors))))
+        triples = list(combinations(range(g.n), 3))
+        assert unsettled == [t for t in triples if not centers(t)]
+        covered = covered_triples(g, c)
+        for t in set(triples) - set(unsettled):
+            assert t in covered
+            # settled only at centers where some family has several masks
+            beyond_single += all(any(len(fams[v][x]) > 1 for v in t) for x in centers(t))
+    assert beyond_single > 0
 
 
 def renamed_vertices(g, rng):
@@ -571,3 +598,17 @@ def test_block_pass_on_recolored_products():
                     early += want[:2] == (0, 1)
                     late += want[:2] != (0, 1)
     assert early > 0 and late > 0
+    # random graphs with 5-8 colors: most families hold several masks, so
+    # the first-mask filter settles triples no single-mask rule could;
+    # every one of these instances is large enough to meet it
+    passed = late = 0
+    for _ in range(20):
+        n = rng.randrange(10, 15)
+        g = random_connected_graph(rng, n, rng.randrange(n, 3 * n + 1))
+        c = random_coloring(rng, g.m, rng.randrange(5, 9))
+        want = next((s for s in combinations(range(n), 3)
+                     if find_rainbow_tree(g, c, s) is None), None)
+        assert is_k_rainbow(g, c, 3).failing == want
+        passed += want is None
+        late += want is not None and want[:2] != (0, 1)
+    assert passed > 0 and late > 0
