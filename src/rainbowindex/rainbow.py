@@ -22,24 +22,30 @@ and since no smaller mask can come later, a kept mask is never removed
 and no family is ever rebuilt.  So the families alone give the paths
 back (``_path_edges``), and rainbow-tree witnesses need no predecessor map.
 
-A pair (a, b) fails only when no rainbow path joins a and b, so pairs
-need reachability, not antichains.  A row built for pairs stops at the
-end of the first level after which every target above its source holds
-a mask, and a target still empty when the search ends on its own is the
-failing pair.  Pair (a, b) reads the row of min(a, b), since a rainbow
-path reversed is still one.  A row cut short that way never serves a
-triple; a complete row may serve a pair.
+Reach rows grow on demand (``_grow``): a row keeps its families and the
+level its search stopped before, and the search runs on from there one
+level at a time, so a row is built only as deep as the sets that read
+it need.  A pair (a, b) fails only when no rainbow path joins a and b,
+so pairs need reachability, not antichains: pair (a, b) grows the row
+of min(a, b), since a rainbow path reversed is still one, until b holds
+a mask or the search ends.  A triple of an explicit order (the solver's
+checks) takes complete rows at once, since most of those checks fail
+and a failure needs every mask.
 
-The k=3 check of ``is_k_rainbow`` puts an exact first-mask filter in
-front of that scan (``_first_mask_pairs``, ``_unsettled_triples``): a
-center x where the first (smallest) masks of the three families are
-pairwise disjoint settles the triple, since those masks are real
-rainbow paths, and numpy settles whole blocks of triples that way at
-once.  Only the triples it leaves open go through the scan, in
-lexicographic order, so verdicts and first failing sets are unchanged.
-The filter needs every reach row.  It is built only after the lazy scan
-has passed the n - 2 triples {0, 1, c}, which build them all, so
-colorings that fail early build no more rows than before; and only when
+The k=3 check of ``is_k_rainbow`` first grows each row only until
+every target holds a mask, and tries a triple on its three rows as they
+stand: a center with pairwise-disjoint masks is a rainbow tree however
+few masks the rows hold.  Only when that fails are the rows finished and
+the triple tried once more, so only a failure on complete rows is a
+failing set.  In front of that scan sits an exact first-mask filter
+(``_first_mask_pairs``, ``_unsettled_triples``): a center x where the
+first (smallest) masks of the three families are pairwise disjoint
+settles the triple, since those masks are real rainbow paths, and numpy
+settles whole blocks of triples that way at once.  Only the triples it
+leaves open go through the scan, in lexicographic order, so verdicts and
+first failing sets are unchanged.  The filter needs one first mask per
+(vertex, center) entry, so it is built after the scan has passed the
+n - 2 triples {0, 1, c}, which grow every row that far, and only when
 more than n * n triples remain, since otherwise it would cost more than
 it settles.
 """
@@ -125,42 +131,49 @@ def _require_match(g: Graph, coloring: EdgeColoring) -> None:
 # Reach engine
 # ---------------------------------------------------------------------------
 
-def _reach(
-    g: Graph,
-    colors: Sequence[Optional[int]],
-    source: int,
-    pairs: bool = False,
-) -> list[list[int]]:
-    """Antichains of minimal color masks reachable from ``source``.
-
-    colors[e] is the color of edge e, or None for a color unique to that
-    edge (contributing nothing to masks).  families[t] is the list of
-    minimal masks of rainbow paths source->t, sorted by (popcount,
-    value); on a total coloring ``_path_edges`` reads the paths back.
-
-    The search runs level by level: level p holds the states whose mask
-    has p colors.  A level is first closed over uncolored edges (the
-    mask stays, so the new states join the same level), and only then
-    are the level-(p+1) masks inserted over colored edges, in the order
-    the states and their edges come.  Every family member therefore has
-    at most as many colors as a mask being inserted, so a new mask is
-    either dominated by a member or incomparable to all of them: nothing
-    is ever removed, and every state found is expanded.  On a total
-    coloring this is the breadth-first order, one color per step.
-
-    ``pairs=True`` asks for a row that serves pairs only: the search
-    returns, unsorted, at the end of the first level after which every
-    target t > source holds a mask, since a pair (source, t) needs only
-    to know that fams[t] is nonempty.  A target still empty when the
-    search ends on its own is unreachable.  Such a cut row lacks masks,
-    so it must never serve a triple.  The rule is checked once per
-    level, not per insertion, so complete rows pay nothing for it.
-    """
-    n, incidence = g.n, g.incidence
+def _start(n: int, source: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The reach row of ``source`` before its search: the families, with
+    mask 0 at the source alone, and the level the search starts from."""
     fams: list[list[int]] = [[] for _ in range(n)]
     fams[source] = [0]
-    lo = source + 1  # with pairs: no target below lo is still empty
-    level = [(source, 0)]
+    return fams, [(source, 0)]
+
+
+def _grow(
+    g: Graph,
+    colors: Sequence[Optional[int]],
+    fams: list[list[int]],
+    level: list[tuple[int, int]],
+    target: Optional[int] = None,
+) -> list[tuple[int, int]]:
+    """Run the reach search of the row ``fams`` on from ``level``, and
+    return the level it stopped before: empty once the search has ended,
+    and then fams is the complete row.
+
+    colors[e] is the color of edge e, or None for a color unique to that
+    edge (contributing nothing to masks).  fams[t] lists the minimal
+    masks of rainbow paths source->t found so far, in the order found.
+
+    The search runs level by level: level p holds the states (vertex,
+    mask) whose mask has p colors.  A level is first closed over
+    uncolored edges (the mask stays, so the new states join the same
+    level), and only then are the level-(p+1) masks inserted over
+    colored edges, in the order the states and their edges come.  Every
+    family member therefore has at most as many colors as a mask being
+    inserted, so a new mask is either dominated by a member or
+    incomparable to all of them: nothing is ever removed, every state
+    found is expanded, and a family's masks come in order of size.  On a
+    total coloring this is the breadth-first order, one color per step.
+
+    The search depends on fams and level alone, so a row stopped after
+    any level and run on later ends with the families of one run.  With
+    ``target`` the search stops at the end of the first level after which
+    fams[target] holds a mask; a target still empty when the search ends
+    on its own is unreachable.  The rule is checked once per level, not
+    per insertion, and a run to the end (``target=None``) pays only the
+    test of ``target``.
+    """
+    incidence = g.incidence
     while level:
         for v, mask in level:  # the level grows while it is closed
             for e, w in incidence[v]:
@@ -191,11 +204,21 @@ def _reach(
                     fw.append(nm)
                     nxt.append((w, nm))
         level = nxt
-        if pairs:
-            while lo < n and fams[lo]:
-                lo += 1
-            if lo == n:
-                return fams
+        if target is not None and fams[target]:
+            break
+    return level
+
+
+def _reach(
+    g: Graph,
+    colors: Sequence[Optional[int]],
+    source: int,
+) -> list[list[int]]:
+    """Antichains of minimal color masks reachable from ``source``: the
+    complete row of ``_grow``, each family sorted by (popcount, value).
+    On a total coloring ``_path_edges`` reads the paths back."""
+    fams, level = _start(g.n, source)
+    _grow(g, colors, fams, level)
     for fam in fams:
         if len(fam) > 1:
             fam.sort()
@@ -236,9 +259,11 @@ def _tree_center(
 ) -> Optional[tuple[int, int, int, int]]:
     """First center x, in ascending order of the bits of ``centers``,
     where fa[x], fb[x] and fc[x] hold pairwise-disjoint masks, as
-    (x, ma, mb, mc), or None.  fa, fb and fc are complete reach rows,
-    whose families are sorted by increasing cardinality, so the first
-    disjoint masks at x are tried smallest first."""
+    (x, ma, mb, mc), or None.  fa, fb and fc are reach rows, whose
+    families list their masks in order of size, so the first disjoint
+    masks at x are tried smallest first.  A hit is a rainbow tree
+    however far the rows are grown; a miss says the set has none only
+    on complete rows."""
     while centers:
         low = centers & -centers
         x = low.bit_length() - 1
@@ -326,11 +351,12 @@ _WORD = (1 << 64) - 1
 def _first_mask_pairs(fams: list[list[list[int]]], top: int) -> np.ndarray:
     """Pair bitsets of the first-mask filter.
 
-    fams[v] is the complete reach row of v on a total coloring whose
-    highest color is ``top`` (a rank, so ``top + 1`` colors are in use).
-    Each (vertex, center) entry becomes ``top + 1`` bits in uint64 words:
-    the first mask of its family, which is a smallest one, or all ones
-    when the family is empty.  Bit x of ``pair[a, b]`` (n x n rows of
+    fams[v] is the reach row of v, grown until every target has a mask
+    (or to its end), on a total coloring whose highest color is ``top``
+    (a rank, so ``top + 1`` colors are in use).  Each (vertex, center)
+    entry becomes ``top + 1`` bits in uint64 words: the first mask of its
+    family, which is a smallest one since rows grow level by level, or
+    all ones when the family is empty.  Bit x of ``pair[a, b]`` (n x n rows of
     uint64 words) is set when the entries of a and b at x are disjoint.
     All ones clashes with itself and with every nonempty mask, and only
     x's own entry is mask 0, so an empty family settles nothing: a center
@@ -394,25 +420,31 @@ def _first_bad_set(
     ``order=None`` stands for every triple in lexicographic order, the
     k=3 check of ``is_k_rainbow``, and needs a total coloring.
 
-    Reach rows are computed when a set first needs them, and the set's
-    size picks the kind of row.  A pair (a, b), in either orientation,
-    fails when fams[min][max] is empty; it reads the complete row of
-    min(a, b) if one is built, else a row cut short for pairs
-    (``_reach(..., pairs=True)``), which stops after the level that
-    gives the last target above its source a mask.  Cut rows are kept
-    apart and never serve a triple.  For a triple, bit x of
-    ``centers(a, b)`` says that some mask of fams[a][x] is disjoint from
-    some mask of fams[b][x].  A tree at center x needs that for all three
-    pairs of the triple, so only the centers in the intersection go to
-    ``_tree_center``, and a pair with no center settles the triple
-    before the remaining pairs are built.
+    Each reach row is started when a set first needs it and grown
+    (``_grow``) only as far as the sets that read it need; rows[v] holds
+    its families and todo[v] the level it resumes from, empty once the
+    row is complete.  A pair (a, b), in either orientation, grows the row
+    of min(a, b) until fams[max] holds a mask or the search ends, and
+    fails when it is still empty.  For a triple on complete rows, bit x
+    of ``centers(a, b)`` says that some mask of fams[a][x] is disjoint
+    from some mask of fams[b][x].  A tree at center x needs that for all
+    three pairs of the triple, so only the centers in the intersection go
+    to ``_tree_center``, and a pair with no center settles the triple
+    before the remaining pairs are built.  ``centers`` reads complete
+    rows only (``row(v)`` finishes a row), so a triple of an explicit
+    order takes complete rows at once.
 
-    With ``order=None`` the n - 2 triples {0, 1, c} go through the loop
-    alone, so a coloring that fails among them builds only the rows it
-    needs.  Passing them all builds every row, which is all that the
-    first-mask filter needs.  If more than n * n triples remain (fewer
-    cost the loop less than building the filter's n * n entries), the
-    rest pass through ``_unsettled_triples`` and only the triples it
+    With ``order=None`` a row is first grown until every target has a
+    mask (``ready(v)``), and a triple is tried on its three rows as they
+    stand, at every center.  If that fails while any of them is
+    unfinished, ``centers`` finishes them and the triple is tried once
+    more, so only a failure on complete rows is a failing set.  The
+    n - 2 triples {0, 1, c} go through the loop alone, so a coloring
+    that fails among them starts only the rows it needs.  Passing them
+    all grows every row until each target has a mask, which is all that
+    the first-mask filter needs.  If more than n * n triples remain
+    (fewer cost the loop less than building the filter's n * n entries),
+    the rest pass through ``_unsettled_triples`` and only the triples it
     leaves open reach the loop, still in lexicographic order.  The
     filter settles only triples that have a rainbow tree, so verdicts
     and first failing sets are those of the plain loop; partial
@@ -420,20 +452,33 @@ def _first_bad_set(
     """
     n = g.n
     rows: list[Optional[list[list[int]]]] = [None] * n
-    cut: dict[int, list[list[int]]] = {}  # rows cut short for pairs
+    todo: list[list[tuple[int, int]]] = [[]] * n  # the level each row resumes from
     pairs: dict[int, int] = {}
 
-    def reach_row(v: int) -> list[list[int]]:
-        row = rows[v]
-        if row is None:
-            row = rows[v] = _reach(g, colors, v)
-        return row
+    def row(v: int, target: Optional[int] = None) -> list[list[int]]:
+        fams = rows[v]
+        if fams is None:
+            fams, todo[v] = _start(n, v)
+            rows[v] = fams
+        if todo[v] and (target is None or not fams[target]):
+            todo[v] = _grow(g, colors, fams, todo[v], target)
+        return fams
+
+    def ready(v: int) -> list[list[int]]:
+        fams = rows[v]
+        if fams is None:
+            fams, level = _start(n, v)
+            for t in range(n):
+                if level and not fams[t]:
+                    level = _grow(g, colors, fams, level, t)
+            rows[v], todo[v] = fams, level
+        return fams
 
     def centers(a: int, b: int) -> int:
         key = a * n + b
         bits = pairs.get(key)
         if bits is None:
-            fa, fb = reach_row(a), reach_row(b)
+            fa, fb = row(a), row(b)
             bits = 0
             for x in range(n):
                 fbx = fb[x]
@@ -456,20 +501,23 @@ def _first_bad_set(
         last = head[-1]
         yield dropwhile(lambda t: t <= last, _unsettled_triples(pair))
 
-    if order is None:
+    lazy = order is None
+    every = (1 << n) - 1
+    if lazy:
         order = combinations(range(n), 3)
         if comb(n, 3) - (n - 2) > n * n:
             order = chain.from_iterable(lex_parts(order))
     for vs in order:
         if len(vs) == 2:
             a, b = vs if vs[0] < vs[1] else vs[::-1]
-            row = rows[a] or cut.get(a)
-            if row is None:
-                row = cut[a] = _reach(g, colors, a, pairs=True)
-            if not row[b]:
+            if not row(a, b)[b]:
                 return vs
             continue
         a, b, c = vs
+        if lazy:
+            fa, fb, fc = ready(a), ready(b), ready(c)
+            if (todo[a] or todo[b] or todo[c]) and _tree_center(fa, fb, fc, every) is not None:
+                continue
         common = centers(a, b)
         if common:
             common &= centers(a, c)

@@ -23,8 +23,12 @@ from rainbowindex import (
     star,
 )
 from rainbowindex.rainbow import (
+    _first_bad_set,
     _first_mask_pairs,
+    _grow,
     _reach,
+    _start,
+    _tree_center,
     _unsettled_triples,
     coloring_from_json_dict,
     coloring_to_json_dict,
@@ -268,6 +272,18 @@ def test_k2_has_no_size_cliff():
         assert verdict == Verdict(False, (0, j + 1))
 
 
+def test_k3_has_no_size_cliff():
+    # every triple of an all-distinct complete graph has a tree of two
+    # one-color edges at one of its vertices, so rows grown one level
+    # settle it, though a complete row of K8 holds families of ~2,000
+    # masks; a monochromatic K8 fails at its first triple
+    for n in (8, 12, 16):
+        g = complete(n)
+        assert is_k_rainbow(g, EdgeColoring(tuple(range(g.m)), g.m), 3) == Verdict(True)
+    g = complete(8)
+    assert is_k_rainbow(g, EdgeColoring((0,) * g.m, 1), 3) == Verdict(False, (0, 1, 2))
+
+
 @st.composite
 def colored_graphs(draw):
     """A small connected graph (a random tree plus extra edges) with a
@@ -441,10 +457,11 @@ def test_partial_failure_returns_first_failing_triple_of_order():
 
 
 def test_partial_failure_on_mixed_orders():
-    # pairs in both orientations mixed with triples: a row cut short for
-    # pairs must serve neither a triple nor a reversed pair.  Shuffled
-    # orders catch a reversed pair; putting the pairs first cuts rows
-    # before any triple asks for them.
+    # pairs in both orientations mixed with triples: a row grown only as
+    # far as a pair needs must be finished before it serves a triple, and
+    # must serve a reversed pair.  Shuffled orders catch a reversed pair;
+    # putting the pairs first grows rows part way before any triple asks
+    # for them.
     rng = random.Random(73)
     # the row of 3 stops once 4 has a mask, before it reaches 0, 1 or 2
     g = build_graph(5, [(0, 1), (1, 2), (2, 4), (4, 3)])
@@ -563,6 +580,56 @@ def test_first_mask_filter_is_sound_on_multi_mask_families():
             # settled only at centers where some family has several masks
             beyond_single += all(any(len(fams[v][x]) > 1 for v in t) for x in centers(t))
     assert beyond_single > 0
+
+
+def grown_row(g, colors, source, targets):
+    """The reach row of source grown until each of targets holds a mask,
+    and whether its search is unfinished there."""
+    fams, level = _start(g.n, source)
+    for t in targets:
+        if level and not fams[t]:
+            level = _grow(g, colors, fams, level, t)
+    return fams, bool(level)
+
+
+def test_grown_rows_give_the_verdicts_of_complete_rows():
+    # the k=3 verdict (order None) grows rows until every target has a
+    # mask and finishes them only for triples that fail there; it returns
+    # the set that the explicit-order scan of every triple, which takes
+    # complete rows, returns, on both sides of the first-mask filter's
+    # size gate (n >= 10).  A pairs-first order grows rows for its pairs
+    # that its triples then finish; complete rows give its answer too.
+    rng = random.Random(107)
+    seen = {"pass": 0, "head": 0, "late": 0, "gated": 0, "finished": 0, "unfinished": 0}
+    for _ in range(40):
+        n = rng.randrange(4, 17)
+        g = random_connected_graph(rng, n, rng.randrange(n // 2, 2 * n + 1))
+        colors = list(random_coloring(rng, g.m, rng.randrange(3, 9)).colors)
+        triples = list(combinations(range(n), 3))
+        want = _first_bad_set(g, colors, triples)
+        assert _first_bad_set(g, colors, None) == want
+        seen["pass" if want is None else "head" if want[:2] == (0, 1) else "late"] += 1
+        seen["gated"] += len(triples) - (n - 2) > n * n
+        reach = [_reach(g, colors, v) for v in range(n)]
+        grown = [grown_row(g, colors, v, range(n))[0] for v in range(n)]
+        every = (1 << n) - 1
+        seen["finished"] += sum(
+            _tree_center(*(grown[v] for v in t), every) is None
+            and _tree_center(*(reach[v] for v in t), every) is not None
+            for t in triples
+        )
+        seen["unfinished"] += sum(grown_row(g, colors, v, range(v + 1, n))[1] for v in range(n))
+        pairs = [p if rng.random() < 0.5 else p[::-1] for p in combinations(range(n), 2)]
+        rng.shuffle(pairs)
+        rng.shuffle(triples)
+        order = pairs + triples
+        assert _first_bad_set(g, colors, order) == next(
+            (s for s in order
+             if (not reach[min(s)][max(s)] if len(s) == 2
+                 else _tree_center(*(reach[v] for v in s), every) is None)),
+            None,
+        )
+    assert min(seen.values()) > 0, seen
 
 
 def renamed_vertices(g, rng):
