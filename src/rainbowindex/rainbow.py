@@ -12,15 +12,23 @@ bearing a color unique to that edge: masks then track only the concrete
 colors, which is equivalent because an edge appears at most once in a
 path, and two paths sharing such an edge still form an all-distinct-colors
 union.  The exact solver uses this for its optimistic partial-coloring
-checks.  The checker and the solver share one scan, for pairs (k=2) and
-triples (k=3) alike: the first set of an order with no rainbow tree.
+checks, with every tree capped at its palette (``partial_failure``).  The
+checker and the solver share one scan, for pairs (k=2) and triples (k=3)
+alike: the first set of an order with no rainbow tree.
 
-The reach search finds masks in order of size: all masks with p colors
-(closed over the uncolored edges first) before any with p + 1.  A mask
-is kept only if no mask already found at its vertex is a subset of it,
-and since no smaller mask can come later, a kept mask is never removed
-and no family is ever rebuilt.  So the families alone give the paths
-back (``_path_edges``), and rainbow-tree witnesses need no predecessor map.
+The reach search runs by path length, one edge per step, an uncolored
+edge adding no bit: all paths of p edges before any of p + 1, and none
+longer than the scan's cap.  A mask is kept only if no mask already
+found at its vertex is a subset of it, and since no shorter path can
+come later, a kept mask is never removed and no family is ever rebuilt;
+a family maps each kept mask to its length, and a triple's center needs
+three pairwise-disjoint masks whose lengths fit in the cap together.  On a
+total coloring the length is the number of colors, so masks come in
+order of size, families are antichains, and the cap at the number of
+colors never binds.  With uncolored edges a longer path may bear fewer
+colors, so partial-coloring families need not be antichains.  The
+families alone give the paths back (``_path_edges``), and rainbow-tree
+witnesses need no predecessor map.
 
 Reach rows grow on demand (``_grow``): a row keeps its families and the
 level its search stopped before, and the search runs on from there one
@@ -131,77 +139,79 @@ def _require_match(g: Graph, coloring: EdgeColoring) -> None:
 # Reach engine
 # ---------------------------------------------------------------------------
 
-def _start(n: int, source: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
+def _start(n: int, source: int) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
     """The reach row of ``source`` before its search: the families, with
-    mask 0 at the source alone, and the level the search starts from."""
-    fams: list[list[int]] = [[] for _ in range(n)]
-    fams[source] = [0]
+    mask 0 (of length 0) at the source alone, and the level the search
+    starts from."""
+    fams: list[dict[int, int]] = [{} for _ in range(n)]
+    fams[source] = {0: 0}
     return fams, [(source, 0)]
 
 
 def _grow(
     g: Graph,
     colors: Sequence[Optional[int]],
-    fams: list[list[int]],
+    fams: list[dict[int, int]],
     level: list[tuple[int, int]],
+    cap: int,
     target: Optional[int] = None,
 ) -> list[tuple[int, int]]:
-    """Run the reach search of the row ``fams`` on from ``level``, and
-    return the level it stopped before: empty once the search has ended,
-    and then fams is the complete row.
+    """Run the reach search of the row ``fams`` on from ``level`` (not
+    empty), and return the level it stopped before: empty once the
+    search has ended, and then fams is the complete row.
 
     colors[e] is the color of edge e, or None for a color unique to that
-    edge (contributing nothing to masks).  fams[t] lists the minimal
-    masks of rainbow paths source->t found so far, in the order found.
+    edge (contributing nothing to masks).  fams[t] maps the masks of
+    rainbow paths source->t kept so far, in the order found, to their
+    lengths in edges.
 
-    The search runs level by level: level p holds the states (vertex,
-    mask) whose mask has p colors.  A level is first closed over
-    uncolored edges (the mask stays, so the new states join the same
-    level), and only then are the level-(p+1) masks inserted over
-    colored edges, in the order the states and their edges come.  Every
-    family member therefore has at most as many colors as a mask being
-    inserted, so a new mask is either dominated by a member or
-    incomparable to all of them: nothing is ever removed, every state
-    found is expanded, and a family's masks come in order of size.  On a
-    total coloring this is the breadth-first order, one color per step.
+    The search runs level by level, and a level is a path length: level
+    p holds the states (vertex, mask) of paths with p edges, and each
+    edge is one step, an uncolored one adding no bit.  A state is kept
+    when no mask already kept at its vertex is a subset of it; every
+    kept state is no shorter than those before it, so it is never
+    removed, and a kept state dominates every path it stands for (a
+    subset of its colors, no more edges).  So every state found is
+    expanded, a family's lengths never fall, and the search stops after
+    level ``cap``: no path longer than the cap is wanted.  On a total
+    coloring the length is the number of colors, so this is the
+    breadth-first order, one color per step, and a family is an
+    antichain with its masks in order of size.  With uncolored edges a
+    longer path may have a smaller mask, so a family need not be one.
 
-    The search depends on fams and level alone, so a row stopped after
-    any level and run on later ends with the families of one run.  With
-    ``target`` the search stops at the end of the first level after which
-    fams[target] holds a mask; a target still empty when the search ends
-    on its own is unreachable.  The rule is checked once per level, not
-    per insertion, and a run to the end (``target=None``) pays only the
-    test of ``target``.
+    The search depends on fams and level alone (the level's length is
+    that of its states), so a row stopped after any level and run on
+    later ends with the families of one run.  With ``target`` the search
+    stops at the end of the first level after which fams[target] holds a
+    mask; a target still empty when the search ends on its own has no
+    path within the cap.  The rule is checked once per level, not per
+    insertion, and a run to the end (``target=None``) pays only the test
+    of ``target``.
     """
     incidence = g.incidence
+    v, mask = level[0]
+    depth = fams[v][mask]
     while level:
-        for v, mask in level:  # the level grows while it is closed
-            for e, w in incidence[v]:
-                if colors[e] is not None:
-                    continue
-                fw = fams[w]
-                for x in fw:
-                    if x & mask == x:
-                        break
-                else:
-                    fw.append(mask)
-                    level.append((w, mask))
+        if depth == cap:
+            return []
+        depth += 1
         nxt = []
         for v, mask in level:
             for e, w in incidence[v]:
                 c = colors[e]
                 if c is None:
-                    continue
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                nm = mask | bit
+                    nm = mask
+                else:
+                    bit = 1 << c
+                    if mask & bit:
+                        continue
+                    nm = mask | bit
                 fw = fams[w]
                 for x in fw:
                     if x & nm == x:
                         break
                 else:
-                    fw.append(nm)
+                    fw[nm] = depth
                     nxt.append((w, nm))
         level = nxt
         if target is not None and fams[target]:
@@ -215,14 +225,16 @@ def _reach(
     source: int,
 ) -> list[list[int]]:
     """Antichains of minimal color masks reachable from ``source``: the
-    complete row of ``_grow``, each family sorted by (popcount, value).
-    On a total coloring ``_path_edges`` reads the paths back."""
-    fams, level = _start(g.n, source)
-    _grow(g, colors, fams, level)
-    for fam in fams:
-        if len(fam) > 1:
-            fam.sort()
-            fam.sort(key=int.bit_count)
+    complete row of ``_grow`` (no path has more than n - 1 edges), each
+    family as a list sorted by (popcount, value), with the masks that are
+    not minimal dropped; only uncolored edges leave such masks.  On a
+    total coloring ``_path_edges`` reads the paths back."""
+    row, level = _start(g.n, source)
+    _grow(g, colors, row, level, g.n - 1)
+    fams = [sorted(sorted(fam), key=int.bit_count) for fam in row]
+    if None in colors:
+        fams = [[m for i, m in enumerate(fam) if not any(x & m == x for x in fam[:i])]
+                for fam in fams]
     return fams
 
 
@@ -255,26 +267,41 @@ def _ranked(colors: Sequence[int]) -> list[int]:
 
 
 def _tree_center(
-    fa: list[list[int]], fb: list[list[int]], fc: list[list[int]], centers: int
+    fa: list[dict[int, int]],
+    fb: list[dict[int, int]],
+    fc: list[dict[int, int]],
+    centers: int,
+    cap: int,
 ) -> Optional[tuple[int, int, int, int]]:
     """First center x, in ascending order of the bits of ``centers``,
-    where fa[x], fb[x] and fc[x] hold pairwise-disjoint masks, as
-    (x, ma, mb, mc), or None.  fa, fb and fc are reach rows, whose
-    families list their masks in order of size, so the first disjoint
-    masks at x are tried smallest first.  A hit is a rainbow tree
-    however far the rows are grown; a miss says the set has none only
-    on complete rows."""
+    where fa[x], fb[x] and fc[x] hold pairwise-disjoint masks whose
+    lengths sum to at most ``cap``, as (x, ma, mb, mc), or None.  fa, fb
+    and fc are reach rows, whose families hold their masks in order of
+    length, so the first such masks at x are tried shortest first, and a
+    mask too long for the cap ends the search of its family.  A hit is a
+    rainbow tree however far the rows are grown; a miss says the set has
+    none only on complete rows.  On a total coloring a mask's length is
+    its number of colors, so the lengths of disjoint masks sum to the
+    size of their union, and a cap of at least the number of colors
+    never binds."""
     while centers:
         low = centers & -centers
         x = low.bit_length() - 1
-        for ma in fa[x]:
-            for mb in fb[x]:
+        fax, fbx, fcx = fa[x], fb[x], fc[x]
+        for ma in fax:
+            for mb in fbx:
                 if ma & mb:
                     continue
+                room = cap - fax[ma] - fbx[mb]
+                if room < 0:
+                    break
                 mab = ma | mb
-                for mc in fc[x]:
-                    if not mab & mc:
-                        return x, ma, mb, mc
+                for mc in fcx:
+                    if mab & mc:
+                        continue
+                    if fcx[mc] > room:
+                        break
+                    return x, ma, mb, mc
         centers ^= low
     return None
 
@@ -315,7 +342,8 @@ def find_rainbow_tree(
     s = vertex_triple(g, terminals)
     colors = _ranked(coloring.colors)
     reach = [_reach(g, colors, v) for v in s]
-    hit = _tree_center(*reach, (1 << g.n) - 1)
+    rows = [[{m: m.bit_count() for m in fam} for fam in fams] for fams in reach]
+    hit = _tree_center(*rows, (1 << g.n) - 1, len(set(colors)))
     if hit is None:
         return None
     center, *masks = hit
@@ -348,7 +376,7 @@ _STEP_ELEMENTS = 1 << 13
 _WORD = (1 << 64) - 1
 
 
-def _first_mask_pairs(fams: list[list[list[int]]], top: int) -> np.ndarray:
+def _first_mask_pairs(fams: list[list[dict[int, int]]], top: int) -> np.ndarray:
     """Pair bitsets of the first-mask filter.
 
     fams[v] is the reach row of v, grown until every target has a mask
@@ -366,7 +394,7 @@ def _first_mask_pairs(fams: list[list[list[int]]], top: int) -> np.ndarray:
     n = len(fams)
     bits = top + 1
     empty = (1 << bits) - 1
-    flat = [f[0] if f else empty for row in fams for f in row]
+    flat = [next(iter(f), empty) for row in fams for f in row]
     words = [
         np.array(flat if bits <= 64 else [m >> s & _WORD for m in flat], np.uint64)
         .reshape(n, n)
@@ -415,24 +443,27 @@ def _first_bad_set(
     g: Graph,
     colors: Sequence[Optional[int]],
     order: Optional[Iterable[tuple[int, ...]]],
+    cap: int,
 ) -> Optional[tuple[int, ...]]:
-    """First pair or triple of ``order`` with no rainbow tree, or None.
-    ``order=None`` stands for every triple in lexicographic order, the
-    k=3 check of ``is_k_rainbow``, and needs a total coloring.
+    """First pair or triple of ``order`` with no rainbow tree of at most
+    ``cap`` edges, or None.  ``order=None`` stands for every triple in
+    lexicographic order, the k=3 check of ``is_k_rainbow``, and needs a
+    total coloring.
 
     Each reach row is started when a set first needs it and grown
-    (``_grow``) only as far as the sets that read it need; rows[v] holds
-    its families and todo[v] the level it resumes from, empty once the
-    row is complete.  A pair (a, b), in either orientation, grows the row
-    of min(a, b) until fams[max] holds a mask or the search ends, and
-    fails when it is still empty.  For a triple on complete rows, bit x
-    of ``centers(a, b)`` says that some mask of fams[a][x] is disjoint
-    from some mask of fams[b][x].  A tree at center x needs that for all
-    three pairs of the triple, so only the centers in the intersection go
-    to ``_tree_center``, and a pair with no center settles the triple
-    before the remaining pairs are built.  ``centers`` reads complete
-    rows only (``row(v)`` finishes a row), so a triple of an explicit
-    order takes complete rows at once.
+    (``_grow``, no further than ``cap``) only as far as the sets that
+    read it need; rows[v] holds its families and todo[v] the level it
+    resumes from, empty once the row is complete.  A pair (a, b), in
+    either orientation, grows the row of min(a, b) until fams[max] holds
+    a mask or the search ends, and fails when it is still empty.  For a
+    triple on complete rows, bit x of ``centers(a, b)`` says that some
+    mask of fams[a][x] is disjoint from some mask of fams[b][x], their
+    lengths summing to at most the cap.  A tree at center x needs that
+    for all three pairs of the triple, so only the centers in the
+    intersection go to ``_tree_center``, and a pair with no center
+    settles the triple before the remaining pairs are built.
+    ``centers`` reads complete rows only (``row(v)`` finishes a row), so
+    a triple of an explicit order takes complete rows at once.
 
     With ``order=None`` a row is first grown until every target has a
     mask (``ready(v)``), and a triple is tried on its three rows as they
@@ -451,26 +482,26 @@ def _first_bad_set(
     colorings and other orders never meet it.
     """
     n = g.n
-    rows: list[Optional[list[list[int]]]] = [None] * n
+    rows: list[Optional[list[dict[int, int]]]] = [None] * n
     todo: list[list[tuple[int, int]]] = [[]] * n  # the level each row resumes from
     pairs: dict[int, int] = {}
 
-    def row(v: int, target: Optional[int] = None) -> list[list[int]]:
+    def row(v: int, target: Optional[int] = None) -> list[dict[int, int]]:
         fams = rows[v]
         if fams is None:
             fams, todo[v] = _start(n, v)
             rows[v] = fams
         if todo[v] and (target is None or not fams[target]):
-            todo[v] = _grow(g, colors, fams, todo[v], target)
+            todo[v] = _grow(g, colors, fams, todo[v], cap, target)
         return fams
 
-    def ready(v: int) -> list[list[int]]:
+    def ready(v: int) -> list[dict[int, int]]:
         fams = rows[v]
         if fams is None:
             fams, level = _start(n, v)
             for t in range(n):
                 if level and not fams[t]:
-                    level = _grow(g, colors, fams, level, t)
+                    level = _grow(g, colors, fams, level, cap, t)
             rows[v], todo[v] = fams, level
         return fams
 
@@ -481,15 +512,16 @@ def _first_bad_set(
             fa, fb = row(a), row(b)
             bits = 0
             for x in range(n):
-                fbx = fb[x]
-                for ma in fa[x]:
+                fax, fbx = fa[x], fb[x]
+                for ma in fax:
                     for mb in fbx:
                         if not ma & mb:
                             break
                     else:
                         continue
-                    bits |= 1 << x
-                    break
+                    if fax[ma] + fbx[mb] <= cap:
+                        bits |= 1 << x
+                        break
             pairs[key] = bits
         return bits
 
@@ -516,14 +548,17 @@ def _first_bad_set(
         a, b, c = vs
         if lazy:
             fa, fb, fc = ready(a), ready(b), ready(c)
-            if (todo[a] or todo[b] or todo[c]) and _tree_center(fa, fb, fc, every) is not None:
+            if (
+                (todo[a] or todo[b] or todo[c])
+                and _tree_center(fa, fb, fc, every, cap) is not None
+            ):
                 continue
         common = centers(a, b)
         if common:
             common &= centers(a, c)
         if common:
             common &= centers(b, c)
-        if not common or _tree_center(rows[a], rows[b], rows[c], common) is None:
+        if not common or _tree_center(rows[a], rows[b], rows[c], common, cap) is None:
             return vs
     return None
 
@@ -551,7 +586,8 @@ def is_k_rainbow(
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")
     order = combinations(range(g.n), 2) if k == 2 else None
-    bad = _first_bad_set(g, _ranked(coloring.colors), order)
+    colors = _ranked(coloring.colors)
+    bad = _first_bad_set(g, colors, order, len(set(colors)))
     return Verdict(bad is None, bad)
 
 
@@ -559,10 +595,24 @@ def partial_failure(
     g: Graph,
     colors: Sequence[Optional[int]],
     order: Iterable[tuple[int, ...]],
+    palette: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
-    """Optimistic check for a partially colored graph: edges with color
-    None count as uniquely colored.  Returns the first set of ``order``
-    (pairs and triples, in the one scan ``is_k_rainbow`` runs) with no
-    rainbow tree even under that relaxation, or None if all sets pass.
+    """Optimistic check for a partially colored graph.  Returns the first
+    set of ``order`` (pairs and triples, in the one scan ``is_k_rainbow``
+    runs) that no completion of ``colors`` with at most ``palette``
+    colors can give a rainbow tree, or None if no set is ruled out.
+
+    A rainbow tree has at most min(palette, n - 1) edges, one color
+    each, and holds edge-disjoint paths from one center to its
+    terminals: one path for a pair, three (one may be empty) for a
+    triple.  So a set is ruled out when no center has such paths whose
+    colored edges bear pairwise-disjoint color sets, none with a repeat,
+    and whose lengths sum to at most that cap; an edge with color None
+    counts as one edge of a color of its own.  Without a palette the cap
+    is n - 1, which every tree meets, and the check is the one on the
+    total coloring that gives each None edge a new color.  The families
+    the search keeps for a partial coloring need not be antichains: a
+    longer path may bear fewer colors.
     """
-    return _first_bad_set(g, colors, order)
+    cap = g.n - 1 if palette is None else min(palette, g.n - 1)
+    return _first_bad_set(g, colors, order, cap)

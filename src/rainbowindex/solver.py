@@ -5,10 +5,17 @@ backtracking search over canonical edge colorings (color t+1 may appear
 only after color t has), so exactly one representative per
 color-permutation class is visited.  Edges are assigned in BFS order
 from vertex 0, and partial assignments are pruned with an optimistic
-check that treats uncolored edges as uniquely colored; that relaxation
-never understates feasibility, so pruning is sound.  The first palette
-admitting a valid coloring is the exact index, because all smaller
-palettes were exhausted.
+check (``partial_failure``) that treats uncolored edges as uniquely
+colored and caps every tree at the palette c being searched: a set is
+cut only when no center has paths to its vertices with pairwise-disjoint
+colored masks and at most min(c, n - 1) edges in all.  The cap is sound
+because a rainbow tree in any completion with c colors has at most c
+edges, and it holds edge-disjoint paths from one center to the set whose
+lengths sum to at most that; the check keeps, for each such path, a path
+with a subset of its colors and no more edges, so it never cuts a prefix
+that has a valid completion.  The first palette admitting a valid
+coloring is the exact index, because all smaller palettes were
+exhausted.
 """
 
 from __future__ import annotations
@@ -95,7 +102,8 @@ def _search_palette(
 ) -> Optional[list[int]]:
     """Backtracking search for a canonical coloring with the given
     palette that gives every set of ``set_order`` (the pairs, or the
-    triples) a rainbow tree; each check is one ``partial_failure`` scan.
+    triples) a rainbow tree; each check is one ``partial_failure`` scan,
+    with trees capped at the palette.
     Returns colors by edge index, or None if exhausted.  Raises
     BudgetExhausted instead of counting a node once ``counter`` has
     reached ``budget``, so an exhausted search reports exactly the budget.
@@ -119,7 +127,7 @@ def _search_palette(
                 # The set that failed last usually fails again, and
                 # then its reach rows settle the check.
                 checks = set_order if culprit is None else chain((culprit,), set_order)
-                bad = culprit = partial_failure(g, colors, checks)
+                bad = culprit = partial_failure(g, colors, checks, palette)
             else:
                 bad = None
             if bad is None:

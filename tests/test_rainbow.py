@@ -498,6 +498,41 @@ def test_partial_failure_on_mixed_orders():
     assert failures > 10 and pair_failures > 5
 
 
+@st.composite
+def partially_colored_graphs(draw):
+    """A graph on 3..6 vertices with at most 9 edges, a palette of 1..4
+    colors and a coloring from it that leaves at most 6 edges uncolored."""
+    n = draw(st.integers(3, 6))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          unique=True, max_size=9))
+    palette = draw(st.integers(1, 4))
+    uncolored = draw(st.sets(st.integers(0, len(edges) - 1), max_size=6)) if edges else set()
+    colors = [None if e in uncolored else draw(st.integers(0, palette - 1))
+              for e in range(len(edges))]
+    return build_graph(n, edges), colors, palette
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(partially_colored_graphs())
+def test_capped_partial_failures_hold_in_every_completion(case):
+    # every pair or triple that the check with a palette rules out has no
+    # rainbow path or tree in any completion with colors from that palette
+    g, colors, palette = case
+    sets = list(combinations(range(g.n), 2)) + list(combinations(range(g.n), 3))
+    ruled_out = [s for s in sets if partial_failure(g, colors, [s], palette) == s]
+    holes = [e for e, c in enumerate(colors) if c is None]
+    for fill in product(range(palette), repeat=len(holes)) if ruled_out else ():
+        full = list(colors)
+        for e, c in zip(holes, fill):
+            full[e] = c
+        completion = EdgeColoring(tuple(full), palette)
+        for s in ruled_out:
+            if len(s) == 2:
+                assert not path_color_sets(g, completion, *s)
+            else:
+                assert not has_rainbow_tree_brute(g, completion, s)
+
+
 def test_block_pass_on_long_paths_with_wide_masks():
     # P70 and P101 with all-distinct colors 0..n-2 (masks of 69 and 100
     # bits), 0-3 edges recolored to repeat a color.  {a, b, c} has a
@@ -582,13 +617,13 @@ def test_first_mask_filter_is_sound_on_multi_mask_families():
     assert beyond_single > 0
 
 
-def grown_row(g, colors, source, targets):
+def grown_row(g, colors, source, targets, cap):
     """The reach row of source grown until each of targets holds a mask,
     and whether its search is unfinished there."""
     fams, level = _start(g.n, source)
     for t in targets:
         if level and not fams[t]:
-            level = _grow(g, colors, fams, level, t)
+            level = _grow(g, colors, fams, level, cap, t)
     return fams, bool(level)
 
 
@@ -606,27 +641,32 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
         g = random_connected_graph(rng, n, rng.randrange(n // 2, 2 * n + 1))
         colors = list(random_coloring(rng, g.m, rng.randrange(3, 9)).colors)
         triples = list(combinations(range(n), 3))
-        want = _first_bad_set(g, colors, triples)
-        assert _first_bad_set(g, colors, None) == want
+        cap = len(set(colors))  # a cap that never binds on a total coloring
+        want = _first_bad_set(g, colors, triples, cap)
+        assert _first_bad_set(g, colors, None, cap) == want
         seen["pass" if want is None else "head" if want[:2] == (0, 1) else "late"] += 1
         seen["gated"] += len(triples) - (n - 2) > n * n
         reach = [_reach(g, colors, v) for v in range(n)]
-        grown = [grown_row(g, colors, v, range(n))[0] for v in range(n)]
+        # complete rows as _tree_center reads them: each mask with its length
+        complete = [[{m: m.bit_count() for m in fam} for fam in fams] for fams in reach]
+        grown = [grown_row(g, colors, v, range(n), cap)[0] for v in range(n)]
         every = (1 << n) - 1
         seen["finished"] += sum(
-            _tree_center(*(grown[v] for v in t), every) is None
-            and _tree_center(*(reach[v] for v in t), every) is not None
+            _tree_center(*(grown[v] for v in t), every, cap) is None
+            and _tree_center(*(complete[v] for v in t), every, cap) is not None
             for t in triples
         )
-        seen["unfinished"] += sum(grown_row(g, colors, v, range(v + 1, n))[1] for v in range(n))
+        seen["unfinished"] += sum(
+            grown_row(g, colors, v, range(v + 1, n), cap)[1] for v in range(n)
+        )
         pairs = [p if rng.random() < 0.5 else p[::-1] for p in combinations(range(n), 2)]
         rng.shuffle(pairs)
         rng.shuffle(triples)
         order = pairs + triples
-        assert _first_bad_set(g, colors, order) == next(
+        assert _first_bad_set(g, colors, order, cap) == next(
             (s for s in order
              if (not reach[min(s)][max(s)] if len(s) == 2
-                 else _tree_center(*(reach[v] for v in s), every) is None)),
+                 else _tree_center(*(complete[v] for v in s), every, cap) is None)),
             None,
         )
     assert min(seen.values()) > 0, seen
