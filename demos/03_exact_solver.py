@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""The exact solver against the known-value oracle, plus what a search
-budget exhaustion looks like."""
+"""The exact solver against the known-value oracle, two highly symmetric
+graphs that symmetry breaking decides quickly, and what a search budget
+exhaustion looks like."""
 
 from rainbowindex import (
     FamilySpec,
+    cartesian_product,
     generate,
     is_k_rainbow,
     oracle_rx3,
@@ -27,6 +29,17 @@ for spec in cases:
     print(f"{label:>28}: solver {res.value}, oracle {entry.value}, "
           f"{res.nodes_explored} nodes, witness verifies: "
           f"{is_k_rainbow(g, res.witness, 3).ok}")
+
+print()
+print("== Symmetry breaking on two highly symmetric graphs ==")
+for label, g in [
+    ("K_7", generate(FamilySpec("complete", n=7))),
+    ("C_4 x C_4", cartesian_product(generate(FamilySpec("cycle", n=4)),
+                                    generate(FamilySpec("cycle", n=4)))[0]),
+]:
+    res = rx_exact(g, 3)
+    print(f"{label:>10}: rx3 = {res.value}, {res.nodes_explored} nodes, "
+          f"witness verifies: {is_k_rainbow(g, res.witness, 3).ok}")
 
 print()
 print("== Rainbow connectivity is the k=2 index ==")

@@ -6,8 +6,8 @@ stable edge index; nothing ever renumbers edges after construction.
 All derived graphs (products, join, split, subdivision) come with
 provenance back to the operands so colorings can be transported.
 ``bfs`` is the one breadth-first search over a graph: connectivity,
-all-pairs distances, Steiner witnesses and the solver's edge order read
-its visit order or its hop counts.
+all-pairs distances, Steiner witnesses, the solver's edge order and the
+automorphism search read its visit order or its hop counts.
 """
 
 from __future__ import annotations
@@ -151,6 +151,56 @@ def is_connected(g: Graph) -> bool:
 
 def is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
+
+
+def automorphism_transversal(g: Graph) -> list[list[list[int]]]:
+    """Coset representatives of Aut(g) along the stabilizer chain of
+    0, 1, ..., n - 1.
+
+    Level i lists, for each vertex v != i in the orbit of i under the
+    automorphisms fixing 0..i-1 pointwise, one such automorphism (as the
+    list of vertex images) that maps i to v; the identity is left out.
+    So |Aut(g)| is the product over levels of 1 + the level's length,
+    while there are at most n(n - 1)/2 maps in all.  A bijection is an
+    automorphism iff it preserves every BFS distance, so candidates are
+    vertices with the same sorted distance row and each map is found by
+    backtracking over the distances to the vertices already placed.
+    """
+    n = g.n
+    dist = [bfs(g, v)[1] for v in range(n)]
+    cell = [sorted(row) for row in dist]
+    image = list(range(n))
+    used = [False] * n
+
+    def fits(w: int, x: int) -> bool:
+        # Could w map to x, given image[0..w-1]?
+        return cell[x] == cell[w] and all(dist[w][u] == dist[x][image[u]] for u in range(w))
+
+    def place(w: int) -> bool:
+        # Extend image[0..w-1] to an automorphism; image[w:] is scratch.
+        if w == n:
+            return True
+        for x in range(n):
+            if not used[x] and fits(w, x):
+                image[w] = x
+                used[x] = True
+                if place(w + 1):
+                    return True
+                used[x] = False
+        return False
+
+    levels: list[list[list[int]]] = []
+    for i in range(n):
+        image[:i] = range(i)
+        level = []
+        for v in range(i + 1, n):
+            if fits(i, v):
+                image[i] = v
+                used[:] = [u < i or u == v for u in range(n)]
+                if place(i + 1):
+                    level.append(image[:])
+        levels.append(level)
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,22 @@ with a subset of its colors and no more edges, so it never cuts a prefix
 that has a valid completion.  The first palette admitting a valid
 coloring is the exact index, because all smaller palettes were
 exhausted.
+
+Graph symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks
+and Roy, KR 1996) over the coset representatives that
+``automorphism_transversal`` gives, mapped to edges once per solve.  A
+child is cut when, for one of these automorphisms pi, the first-appearance
+relabelling of the image x o pi of its prefix is already lexicographically
+smaller than the prefix itself, on the positions both determine; an
+automorphism whose image compares larger drops out for the subtree.  The
+test is sound and keeps the witness: the search returns the
+lexicographically least valid canonical coloring x*, and for every
+automorphism pi the relabelled x* o pi is valid, canonical and within the
+same palette, so it is never smaller than x* and no prefix of x* is cut.
+Values and witnesses are those of the search without the test.  A child
+cut by it counts as a node, like one cut by ``partial_failure``, so an
+exhausted solve still reports exactly its budget.  With one color there
+is one canonical coloring, so palettes below 2 skip the test.
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ from itertools import chain, combinations
 from math import ceil
 from typing import Optional
 
-from .graphs import Graph, as_int, bfs, is_connected
+from .graphs import Graph, as_int, automorphism_transversal, bfs, is_connected
 from .rainbow import EdgeColoring, as_k, partial_failure
 from .steiner import diameter, sdiam3, triples_by_steiner_desc
 
@@ -92,11 +108,31 @@ def canonicalize_colors(colors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _position_maps(g: Graph, order: list[int]) -> list[list[int]]:
+    """The automorphisms of ``automorphism_transversal`` as maps on
+    search positions: the image of a coloring under map rho reads, at
+    position p, the color at position rho[p]."""
+    pos_of = [0] * g.m
+    for p, e in enumerate(order):
+        pos_of[e] = p
+    maps = []
+    for level in automorphism_transversal(g):
+        for image in level:
+            rho = []
+            for e in order:
+                u, v = g.edges[e]
+                a, b = image[u], image[v]
+                rho.append(pos_of[g.edge_index[(a, b) if a < b else (b, a)]])
+            maps.append(rho)
+    return maps
+
+
 def _search_palette(
     g: Graph,
     palette: int,
     order: list[int],
     set_order: list[tuple[int, ...]],
+    symmetries: list[list[int]],
     counter: list[int],
     budget: int,
 ) -> Optional[list[int]]:
@@ -104,25 +140,66 @@ def _search_palette(
     palette that gives every set of ``set_order`` (the pairs, or the
     triples) a rainbow tree; each check is one ``partial_failure`` scan,
     with trees capped at the palette.
+    Each position map of ``symmetries`` keeps how far the canonical
+    relabelling of its image has compared equal to the assigned prefix,
+    and its relabelling so far; a child whose image compares smaller is
+    cut, and a map whose image compares larger drops out of the subtree.
     Returns colors by edge index, or None if exhausted.  Raises
     BudgetExhausted instead of counting a node once ``counter`` has
     reached ``budget``, so an exhausted search reports exactly the budget.
     """
     m = g.m
     colors: list[Optional[int]] = [None] * m
+    x = [0] * m  # colors by search position; x[p] is set once p is assigned
     stride = max(1, ceil(m / 4))
     culprit: Optional[tuple[int, ...]] = None
+    # Per map: positions compared equal, color -> image label (-1: none
+    # yet), and label -> color.
+    at = [0] * len(symmetries)
+    label = [[-1] * palette for _ in symmetries]
+    labelled: list[list[int]] = [[] for _ in symmetries]
 
-    def dfs(pos: int, maxc: int) -> bool:
+    def leads(pos: int, active: list[int], still: list[int]) -> bool:
+        # Advance each active map's comparison over x[0..pos].  False if
+        # an image is already smaller; maps still tied go to ``still``.
+        for j in active:
+            rho, rel, inv = symmetries[j], label[j], labelled[j]
+            k = at[j]
+            while k <= pos and rho[k] <= pos:
+                c = x[rho[k]]
+                lab = rel[c]
+                if lab < 0:
+                    lab = rel[c] = len(inv)
+                    inv.append(c)
+                if lab != x[k]:
+                    if lab < x[k]:
+                        return False
+                    break
+                k += 1
+            else:
+                at[j] = k
+                still.append(j)
+        return True
+
+    def dfs(pos: int, maxc: int, active: list[int]) -> bool:
         nonlocal culprit
         e = order[pos]
         depth = pos + 1
         limit = min(maxc + 1, palette - 1)
+        saved = [(j, at[j], len(labelled[j])) for j in active]
         for t in range(limit + 1):
             if counter[0] == budget:
                 raise BudgetExhausted()
             counter[0] += 1
-            colors[e] = t
+            colors[e] = x[pos] = t
+            for j, k, size in saved:  # undo the previous child's comparisons
+                at[j] = k
+                rel, inv = label[j], labelled[j]
+                while len(inv) > size:
+                    rel[inv.pop()] = -1
+            still: list[int] = []
+            if not leads(pos, active, still):
+                continue
             if depth == m or depth % stride == 0:
                 # The set that failed last usually fails again, and
                 # then its reach rows settle the check.
@@ -133,12 +210,12 @@ def _search_palette(
             if bad is None:
                 if depth == m:
                     return True
-                if dfs(pos + 1, max(maxc, t)):
+                if dfs(pos + 1, max(maxc, t), still):
                     return True
         colors[e] = None
         return False
 
-    if dfs(0, -1):
+    if dfs(0, -1, list(range(len(symmetries)))):
         assert None not in colors  # a successful leaf assigned every edge
         return colors
     return None
@@ -170,9 +247,13 @@ def rx_exact(
     order = bfs_edge_order(g)
     set_order = triples_by_steiner_desc(g) if k == 3 else list(combinations(range(g.n), 2))
     counter = [0]
+    # One color admits one canonical coloring, so there is nothing to cut.
+    symmetries: list[list[int]] = []
     for c in range(lb, g.m + 1):
+        if c == max(lb, 2):
+            symmetries = _position_maps(g, order)
         try:
-            found = _search_palette(g, c, order, set_order, counter, budget)
+            found = _search_palette(g, c, order, set_order, symmetries, counter, budget)
         except BudgetExhausted:
             fallback = EdgeColoring(tuple(range(g.m)), g.m)
             return SolveResult(

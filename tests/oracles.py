@@ -7,7 +7,7 @@ independent of the library's algorithms, so agreement is meaningful.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from rainbowindex import EdgeColoring, Graph, build_graph, is_k_rainbow
 
@@ -134,6 +134,16 @@ def rx3_brute(g: Graph, max_palette: int = 4):
             if is_k_rainbow(g, EdgeColoring(colors, p), 3).ok:
                 return p
     return None
+
+
+def automorphism_count_brute(g: Graph) -> int:
+    """|Aut(g)|: the vertex maps, of all n!, that map the edge set onto
+    itself."""
+    edges = set(g.edges)
+    return sum(
+        all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in g.edges)
+        for p in permutations(range(g.n))
+    )
 
 
 def distances_brute(g: Graph) -> list[list[float]]:

@@ -1,8 +1,11 @@
 import random
 from itertools import combinations, product
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowindex import (
     SplitSpec,
@@ -23,13 +26,14 @@ from rainbowindex import (
     subdivide_edge,
 )
 from rainbowindex.graphs import (
+    automorphism_transversal,
     graph_from_json_dict,
     graph_to_json_dict,
     product_vertex_labels,
     to_dot,
 )
 
-from oracles import random_connected_graph
+from oracles import automorphism_count_brute, random_connected_graph
 
 
 def test_build_path_and_cycle():
@@ -327,3 +331,51 @@ def test_graph_immutability_contract():
     g = path(3)
     with pytest.raises(Exception):
         g.n = 5  # frozen dataclass
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on 1..7 vertices: a random spanning tree plus
+    any set of further edges."""
+    n = draw(st.integers(1, 7))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return build_graph(n, sorted(tree) + extra)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_automorphism_transversal_against_brute_force(g):
+    levels = automorphism_transversal(g)
+    assert len(levels) == g.n
+    for i, level in enumerate(levels):
+        targets = [image[i] for image in level]
+        assert targets == sorted(set(targets)) and i not in targets
+        for image in level:
+            assert sorted(image) == list(range(g.n))
+            assert image[:i] == list(range(i))
+            assert all(g.has_edge(image[u], image[v]) for u, v in g.edges)
+    assert prod(1 + len(level) for level in levels) == automorphism_count_brute(g)
+
+
+def test_automorphism_transversal_known_groups():
+    petersen = build_graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    cube = cartesian_product(cartesian_product(path(2), path(2))[0], path(2))[0]
+    for g, order in [
+        (complete(8), 40320),
+        (complete_bipartite(2, 6), 1440),
+        (cartesian_product(cycle(4), cycle(4))[0], 384),
+        (petersen, 120),
+        (cube, 48),
+        (path(9), 2),
+        (build_graph(2, []), 2),  # distances of -1 are kept too
+    ]:
+        levels = automorphism_transversal(g)
+        assert prod(1 + len(level) for level in levels) == order
+        assert sum(map(len, levels)) <= g.n * (g.n - 1) // 2

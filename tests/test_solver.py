@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from rainbowindex import (
     star,
 )
 
-from oracles import random_connected_graph, rx3_brute
+from oracles import covered_triples, path_color_sets, random_connected_graph, rx3_brute
 
 
 def test_lower_bound_values():
@@ -125,13 +127,15 @@ def test_budget_exhaustion_is_explicit():
     assert res.lower <= 4 <= res.upper  # true value stays inside the bracket
     assert res.witness is not None
     assert is_k_rainbow(g, res.witness, 3).ok
-    # an exhausted solve reports exactly its budget
-    for budget in (0, 3, 10, 21):
+    # an exhausted solve reports exactly its budget, children cut by
+    # symmetry included
+    for budget in (0, 3, 10, 15):  # 21 before symmetry breaking
         res = rx_exact(g, 3, budget=budget)
         assert not res.exact and res.nodes_explored == budget
-    # C6 with k=3 needs 22 nodes, so a budget of 22 is enough
-    res = rx_exact(g, 3, budget=22)
-    assert res.exact and res.value == 4 and res.nodes_explored == 22
+    # C6 with k=3 needs 16 nodes (22 before symmetry breaking), so a
+    # budget of 16 is enough
+    res = rx_exact(g, 3, budget=16)
+    assert res.exact and res.value == 4 and res.nodes_explored == 16
     with pytest.raises(ValueError):
         rx_exact(g, 3, budget=-1)
     # a budget that is not an integer is rejected, not ignored
@@ -202,6 +206,48 @@ def test_solver_properties(pair):
         assert res.witness.colors_used == res.value
 
 
+def canonical_colorings(m: int, palette: int):
+    """Every coloring of positions 0..m-1 with colors below ``palette``
+    in which color t+1 appears only after color t, in lexicographic
+    order."""
+    def extend(prefix: tuple[int, ...], maxc: int):
+        if len(prefix) == m:
+            yield prefix
+            return
+        for t in range(min(maxc + 1, palette - 1) + 1):
+            yield from extend(prefix + (t,), max(maxc, t))
+
+    return extend((), -1)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(connected_graphs_with_relabeling())
+def test_witness_is_the_first_valid_canonical_coloring(pair):
+    # Symmetry breaking never cuts a prefix of the lexicographically
+    # least valid canonical coloring, so that coloring, found here by
+    # enumeration and brute-force checks, is the witness.
+    g, _ = pair
+    order = bfs_edge_order(g)
+    for k in (2, 3):
+        res = rx_exact(g, k)
+        for seq in canonical_colorings(g.m, res.value):
+            colors = [0] * g.m
+            for e, c in zip(order, seq):
+                colors[e] = c
+            coloring = EdgeColoring(tuple(colors), res.value)
+            if k == 3:
+                valid = len(covered_triples(g, coloring)) == comb(g.n, 3)
+            else:
+                valid = all(
+                    path_color_sets(g, coloring, a, b) for a, b in combinations(range(g.n), 2)
+                )
+            if valid:
+                break
+        else:
+            raise AssertionError("no valid coloring at the solved palette")
+        assert coloring == res.witness
+
+
 def test_value_equals_steiner_bound_on_paths_and_grids():
     for n in (3, 4, 5):
         res = rx_exact(path(n), 3)
@@ -211,12 +257,12 @@ def test_value_equals_steiner_bound_on_paths_and_grids():
 @pytest.mark.parametrize(
     "make, k, nodes",
     [
-        (lambda: cycle(7), 3, 63),
-        (lambda: complete_bipartite(2, 4), 3, 146),
-        (lambda: complete_bipartite(3, 3), 3, 186),
-        (lambda: cartesian_product(path(2), path(3))[0], 3, 20),
-        (lambda: cycle(7), 2, 141),
-        (lambda: complete_bipartite(2, 5), 2, 951),
+        (lambda: cycle(7), 3, 42),  # 63 before symmetry breaking
+        (lambda: complete_bipartite(2, 4), 3, 71),  # 146
+        (lambda: complete_bipartite(3, 3), 3, 66),  # 186
+        (lambda: cartesian_product(path(2), path(3))[0], 3, 20),  # 20
+        (lambda: cycle(7), 2, 74),  # 141
+        (lambda: complete_bipartite(2, 5), 2, 227),  # 951
     ],
     ids=["C7", "K2,4", "K3,3", "P2xP3", "C7,k=2", "K2,5,k=2"],
 )
@@ -229,16 +275,20 @@ def test_search_node_counts_are_pinned(make, k, nodes):
 @pytest.mark.parametrize(
     "make, value, nodes",
     [
-        (lambda: complete(6), 3, 3127),
-        (lambda: cartesian_product(cycle(4), path(2))[0], 3, 92),
-        (lambda: cartesian_product(path(3), path(3))[0], 4, 92),
+        (lambda: complete(6), 3, 305),  # 3,127 before symmetry breaking
+        (lambda: cartesian_product(cycle(4), path(2))[0], 3, 26),  # 92
+        (lambda: cartesian_product(path(3), path(3))[0], 4, 60),  # 92
+        (lambda: complete(7), 3, 643),  # 35,120
+        (lambda: complete_bipartite(2, 6), 4, 1185),  # 31,215
+        (lambda: cartesian_product(cycle(4), cycle(4))[0], 4, 560),  # 134,557
     ],
-    ids=["K6", "C4xP2", "P3xP3"],
+    ids=["K6", "C4xP2", "P3xP3", "K7", "K2,6", "C4xC4"],
 )
 def test_capped_pruning_decides_hard_k3_cases(make, value, nodes):
-    # Capping each check's trees at the palette decides these within the
-    # benchmark's budget of 20,000 nodes; without the cap all three ran
-    # out of it.  The values are those of bench/refs.json.
+    # Capping each check's trees at the palette decides the first three
+    # within the benchmark's budget of 20,000 nodes (without the cap all
+    # three ran out of it; their values are those of bench/refs.json).
+    # The last three need symmetry breaking to fit that budget.
     g = make()
     res = rx_exact(g, 3, budget=20_000)
     assert res.exact and res.value == value and res.nodes_explored == nodes
