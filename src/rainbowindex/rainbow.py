@@ -55,7 +55,9 @@ first failing sets are unchanged.  The filter needs one first mask per
 (vertex, center) entry, so it is built after the scan has passed the
 n - 2 triples {0, 1, c}, which grow every row that far, and only when
 more than n * n triples remain, since otherwise it would cost more than
-it settles.
+it settles.  The filter is the only numpy code here, and it imports numpy
+when it is first built, so k=2 verdicts, the solver's partial checks and
+k=3 verdicts on at most 9 vertices never load it.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, dropwhile, islice
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, as_int, is_connected, vertex_triple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -391,6 +394,8 @@ def _first_mask_pairs(fams: list[list[dict[int, int]]], top: int) -> np.ndarray:
     set in all three pair bitsets of a triple has three real,
     pairwise-disjoint masks, and ``_tree_center`` passes there.
     """
+    import numpy as np
+
     n = len(fams)
     bits = top + 1
     empty = (1 << bits) - 1
@@ -422,6 +427,8 @@ def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
     (``_first_mask_pairs``), computed for a block of first vertices a and
     all b < c above them at once.
     """
+    import numpy as np
+
     n = len(pair)
     step = max(1, _STEP_ELEMENTS // (n * n))
     upper = np.arange(n)[:, None] < np.arange(n)

@@ -24,22 +24,31 @@ the 3-sets whose U can still beat the best value known (``sdiam3``
 gives the argument).  ``steiner_records`` and
 ``triples_by_steiner_desc`` need every value and read them from one
 blockwise pass, ``_steiner_blocks``.  Working memory is O(n^2) in both.
+
+numpy is imported inside the functions that run numpy code
+(``all_pairs_distances`` and the Steiner pass behind ``sdiam3``,
+``steiner_records`` and ``triples_by_steiner_desc``), so importing this
+module loads none; ``diameter`` and ``steiner_distance_3`` work on BFS
+rows and never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .graphs import Graph, bfs, is_connected, vertex_triple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """n x n matrix of hop counts, np.inf sentinel for disconnected pairs.
 
     Raises ValueError when an n x n array cannot be indexed."""
+    import numpy as np
+
     if g.n * g.n > np.iinfo(np.intp).max:
         raise ValueError(f"a distance matrix of {g.n} vertices cannot be indexed")
     d = np.empty((g.n, g.n))
@@ -50,10 +59,11 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
 
 def diameter(g: Graph) -> int:
-    """Largest pairwise distance; requires a connected graph."""
+    """Largest pairwise distance, the largest BFS eccentricity; requires
+    a connected graph."""
     if not is_connected(g):
         raise ValueError("diameter requires a connected graph")
-    return int(all_pairs_distances(g).max())
+    return max(max(bfs(g, s)[1]) for s in range(g.n))
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,8 @@ _STEP_ELEMENTS = 1 << 13
 def _distance_matrix(g: Graph) -> np.ndarray:
     """Distances of a connected graph, as the smallest signed integer
     type that holds the sum of three of them."""
+    import numpy as np
+
     if not is_connected(g):
         raise ValueError("Steiner distances require a connected graph")
     return all_pairs_distances(g).astype(np.min_scalar_type(-3 * g.n))
@@ -139,6 +151,8 @@ def _terminal_bounds(d: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     exceeds the other entries of its row, so a block's maximum is that
     of its 3-sets.
     """
+    import numpy as np
+
     da = d[a, a + 1 :]
     rest = d[a + 1 :, a + 1 :]
     total = da[:, None] + da
@@ -162,6 +176,8 @@ def sdiam3(g: Graph) -> int:
     largest U is <= best ends the search, and inside a block only the
     3-sets with U > best get the exact minimum over centers.
     """
+    import numpy as np
+
     if g.n < 3:
         raise ValueError(f"sdiam3 needs at least 3 vertices, got {g.n}")
     d = _distance_matrix(g)
@@ -198,6 +214,8 @@ def steiner_records(g: Graph) -> list[dict]:
 def triples_by_steiner_desc(g: Graph) -> list[tuple[int, int, int]]:
     """All 3-sets by decreasing Steiner distance, ties in lexicographic
     order (the solver checks the hardest sets first)."""
+    import numpy as np
+
     blocks = list(_steiner_blocks(g))
     if not blocks:
         return []

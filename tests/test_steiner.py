@@ -84,6 +84,20 @@ def test_diameter():
     assert diameter(complete(5)) == 1
     with pytest.raises(ValueError):
         diameter(build_graph(2, []))
+    with pytest.raises(ValueError):
+        diameter(build_graph(0, []))
+
+
+def test_diameter_matches_the_distance_matrix():
+    # diameter takes BFS eccentricities; the matrix is the reference
+    rng = random.Random(29)
+    graphs = [complete(1), complete(2)]
+    graphs += [random_connected_graph(rng, rng.randrange(1, 30), rng.randrange(12))
+               for _ in range(60)]
+    for g in graphs:
+        got = diameter(g)
+        assert type(got) is int
+        assert got == all_pairs_distances(g).max()
 
 
 def test_steiner_examples():
