@@ -173,6 +173,8 @@ def _dispatch_color(args: argparse.Namespace, run: _Run):
             if h.m != 1:
                 raise ValueError("a two-vertex right operand of lex must be K2")
             return constructions.lex_coloring_h2(g, cg)
+        if h.n < 3:
+            raise ValueError("general lexicographic coloring needs |V(H)| >= 3")
         if args.ch_rc is None:
             raise ValueError("general lexicographic case needs --ch-rc")
         return constructions.lex_coloring_general(g, cg, h, run.read_coloring(args.ch_rc))

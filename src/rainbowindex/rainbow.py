@@ -36,16 +36,16 @@ level at a time, so a row is built only as deep as the sets that read
 it need.  A pair (a, b) fails only when no rainbow path joins a and b,
 so pairs need reachability, not antichains: pair (a, b) grows the row
 of min(a, b), since a rainbow path reversed is still one, until b holds
-a mask or the search ends.  A triple of an explicit order (the solver's
-checks) takes complete rows at once, since most of those checks fail
-and a failure needs every mask.
+a mask or the search ends.
 
-The k=3 check of ``is_k_rainbow`` first grows each row only until
-every target holds a mask, and tries a triple on its three rows as they
-stand: a center with pairwise-disjoint masks is a rainbow tree however
-few masks the rows hold.  Only when that fails are the rows finished and
+A triple has one test, ``_tree_center`` on its own three rows, whatever
+the order it comes from.  A row a triple starts is grown until every
+target holds a mask, and the triple is tried on its rows as they stand:
+a center with pairwise-disjoint masks is a rainbow tree however few
+masks the rows hold.  Only when that fails are the rows finished and
 the triple tried once more, so only a failure on complete rows is a
-failing set.  In front of that scan sits an exact first-mask filter
+failing set.  In front of the k=3 scan of ``is_k_rainbow`` sits an
+exact first-mask filter
 (``_first_mask_pairs``, ``_unsettled_triples``): a center x where the
 first (smallest) masks of the three families are pairwise disjoint
 settles the triple, since those masks are real rainbow paths, and numpy
@@ -222,39 +222,24 @@ def _grow(
     return level
 
 
-def _reach(
-    g: Graph,
-    colors: Sequence[Optional[int]],
-    source: int,
-) -> list[list[int]]:
-    """Antichains of minimal color masks reachable from ``source``: the
-    complete row of ``_grow`` (no path has more than n - 1 edges), each
-    family as a list sorted by (popcount, value), with the masks that are
-    not minimal dropped; only uncolored edges leave such masks.  On a
-    total coloring ``_path_edges`` reads the paths back."""
-    row, level = _start(g.n, source)
-    _grow(g, colors, row, level, g.n - 1)
-    fams = [sorted(sorted(fam), key=int.bit_count) for fam in row]
-    if None in colors:
-        fams = [[m for i, m in enumerate(fam) if not any(x & m == x for x in fam[:i])]
-                for fam in fams]
-    return fams
-
-
 def rainbow_reach(
     g: Graph,
     coloring: EdgeColoring,
     source: int,
 ) -> list[list[int]]:
     """Per target vertex, the antichain of minimal color sets (as
-    bitmasks) achievable by rainbow paths from ``source``.  Bit c of a
-    mask is color id c itself, so a mask has as many bits as the largest
-    color id used, plus one."""
+    bitmasks) achievable by rainbow paths from ``source``, sorted by
+    size, then by value: the complete reach row of ``_grow``, whose
+    families hold their masks in the order found.  Bit c of a mask is
+    color id c itself, so a mask has as many bits as the largest color
+    id used, plus one."""
     _require_match(g, coloring)
     source = as_int(source, "source")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
-    return _reach(g, coloring.colors, source)
+    row, level = _start(g.n, source)
+    _grow(g, coloring.colors, row, level, g.n - 1)
+    return [sorted(sorted(fam), key=int.bit_count) for fam in row]
 
 
 def _ranked(colors: Sequence[int]) -> list[int]:
@@ -273,24 +258,19 @@ def _tree_center(
     fa: list[dict[int, int]],
     fb: list[dict[int, int]],
     fc: list[dict[int, int]],
-    centers: int,
     cap: int,
 ) -> Optional[tuple[int, int, int, int]]:
-    """First center x, in ascending order of the bits of ``centers``,
-    where fa[x], fb[x] and fc[x] hold pairwise-disjoint masks whose
-    lengths sum to at most ``cap``, as (x, ma, mb, mc), or None.  fa, fb
-    and fc are reach rows, whose families hold their masks in order of
-    length, so the first such masks at x are tried shortest first, and a
-    mask too long for the cap ends the search of its family.  A hit is a
-    rainbow tree however far the rows are grown; a miss says the set has
-    none only on complete rows.  On a total coloring a mask's length is
-    its number of colors, so the lengths of disjoint masks sum to the
-    size of their union, and a cap of at least the number of colors
-    never binds."""
-    while centers:
-        low = centers & -centers
-        x = low.bit_length() - 1
-        fax, fbx, fcx = fa[x], fb[x], fc[x]
+    """First center x where fa[x], fb[x] and fc[x] hold pairwise-disjoint
+    masks whose lengths sum to at most ``cap``, as (x, ma, mb, mc), or
+    None.  fa, fb and fc are reach rows, whose families hold their masks
+    in order of length, so the first such masks at x are tried shortest
+    first, and a mask too long for the cap ends the search of its
+    family.  A hit is a rainbow tree however far the rows are grown; a
+    miss says the set has none only on complete rows.  On a total
+    coloring a mask's length is its number of colors, so the lengths of
+    disjoint masks sum to the size of their union, and a cap of at least
+    the number of colors never binds."""
+    for x, (fax, fbx, fcx) in enumerate(zip(fa, fb, fc)):
         for ma in fax:
             for mb in fbx:
                 if ma & mb:
@@ -305,12 +285,11 @@ def _tree_center(
                     if fcx[mc] > room:
                         break
                     return x, ma, mb, mc
-        centers ^= low
     return None
 
 
 def _path_edges(
-    g: Graph, colors: Sequence[int], fams: list[list[int]], v: int, mask: int
+    g: Graph, colors: Sequence[int], fams: list[dict[int, int]], v: int, mask: int
 ) -> Iterator[tuple[int, int]]:
     """Steps (edge, next vertex) of a rainbow path with color set
     ``mask`` from v back to the source of ``fams``, the reach families of
@@ -344,15 +323,19 @@ def find_rainbow_tree(
     _require_match(g, coloring)
     s = vertex_triple(g, terminals)
     colors = _ranked(coloring.colors)
-    reach = [_reach(g, colors, v) for v in s]
-    rows = [[{m: m.bit_count() for m in fam} for fam in fams] for fams in reach]
-    hit = _tree_center(*rows, (1 << g.n) - 1, len(set(colors)))
+    cap = len(set(colors))
+    rows = []
+    for v in s:
+        fams, level = _start(g.n, v)
+        _grow(g, colors, fams, level, cap)
+        rows.append(fams)
+    hit = _tree_center(*rows, cap)
     if hit is None:
         return None
     center, *masks = hit
     seen = {center}
     tree = []
-    for fams, mask in zip(reach, masks):
+    for fams, mask in zip(rows, masks):
         for e, w in _path_edges(g, colors, fams, center, mask):
             if w not in seen:
                 seen.add(w)
@@ -462,36 +445,30 @@ def _first_bad_set(
     read it need; rows[v] holds its families and todo[v] the level it
     resumes from, empty once the row is complete.  A pair (a, b), in
     either orientation, grows the row of min(a, b) until fams[max] holds
-    a mask or the search ends, and fails when it is still empty.  For a
-    triple on complete rows, bit x of ``centers(a, b)`` says that some
-    mask of fams[a][x] is disjoint from some mask of fams[b][x], their
-    lengths summing to at most the cap.  A tree at center x needs that
-    for all three pairs of the triple, so only the centers in the
-    intersection go to ``_tree_center``, and a pair with no center
-    settles the triple before the remaining pairs are built.
-    ``centers`` reads complete rows only (``row(v)`` finishes a row), so
-    a triple of an explicit order takes complete rows at once.
+    a mask or the search ends, and fails when it is still empty.
 
-    With ``order=None`` a row is first grown until every target has a
-    mask (``ready(v)``), and a triple is tried on its three rows as they
-    stand, at every center.  If that fails while any of them is
-    unfinished, ``centers`` finishes them and the triple is tried once
-    more, so only a failure on complete rows is a failing set.  The
-    n - 2 triples {0, 1, c} go through the loop alone, so a coloring
-    that fails among them starts only the rows it needs.  Passing them
-    all grows every row until each target has a mask, which is all that
-    the first-mask filter needs.  If more than n * n triples remain
-    (fewer cost the loop less than building the filter's n * n entries),
-    the rest pass through ``_unsettled_triples`` and only the triples it
-    leaves open reach the loop, still in lexicographic order.  The
-    filter settles only triples that have a rainbow tree, so verdicts
-    and first failing sets are those of the plain loop; partial
-    colorings and other orders never meet it.
+    A triple's rows, when it starts them, are grown until every target
+    has a mask (``ready(v)``; a row a pair started stays as it stands),
+    and the triple is tried on them at every center.  If that fails
+    while any of them is unfinished, ``row(v)`` finishes them and the
+    triple is tried once more, so only a failure on complete rows is a
+    failing set.
+
+    With ``order=None`` the n - 2 triples {0, 1, c} go through the loop
+    alone, so a coloring that fails among them starts only the rows it
+    needs.  Passing them all grows every row until each target has a
+    mask, which is all that the first-mask filter needs.  If more than
+    n * n triples remain (fewer cost the loop less than building the
+    filter's n * n entries), the rest pass through
+    ``_unsettled_triples`` and only the triples it leaves open reach the
+    loop, still in lexicographic order.  The filter settles only triples
+    that have a rainbow tree, so verdicts and first failing sets are
+    those of the plain loop; partial colorings and other orders never
+    meet it.
     """
     n = g.n
     rows: list[Optional[list[dict[int, int]]]] = [None] * n
     todo: list[list[tuple[int, int]]] = [[]] * n  # the level each row resumes from
-    pairs: dict[int, int] = {}
 
     def row(v: int, target: Optional[int] = None) -> list[dict[int, int]]:
         fams = rows[v]
@@ -512,26 +489,6 @@ def _first_bad_set(
             rows[v], todo[v] = fams, level
         return fams
 
-    def centers(a: int, b: int) -> int:
-        key = a * n + b
-        bits = pairs.get(key)
-        if bits is None:
-            fa, fb = row(a), row(b)
-            bits = 0
-            for x in range(n):
-                fax, fbx = fa[x], fb[x]
-                for ma in fax:
-                    for mb in fbx:
-                        if not ma & mb:
-                            break
-                    else:
-                        continue
-                    if fax[ma] + fbx[mb] <= cap:
-                        bits |= 1 << x
-                        break
-            pairs[key] = bits
-        return bits
-
     def lex_parts(lex: Iterator[tuple[int, ...]]) -> Iterator[Iterable[tuple[int, ...]]]:
         head = list(islice(lex, n - 2))
         yield head
@@ -540,9 +497,7 @@ def _first_bad_set(
         last = head[-1]
         yield dropwhile(lambda t: t <= last, _unsettled_triples(pair))
 
-    lazy = order is None
-    every = (1 << n) - 1
-    if lazy:
+    if order is None:
         order = combinations(range(n), 3)
         if comb(n, 3) - (n - 2) > n * n:
             order = chain.from_iterable(lex_parts(order))
@@ -553,19 +508,10 @@ def _first_bad_set(
                 return vs
             continue
         a, b, c = vs
-        if lazy:
-            fa, fb, fc = ready(a), ready(b), ready(c)
-            if (
-                (todo[a] or todo[b] or todo[c])
-                and _tree_center(fa, fb, fc, every, cap) is not None
-            ):
-                continue
-        common = centers(a, b)
-        if common:
-            common &= centers(a, c)
-        if common:
-            common &= centers(b, c)
-        if not common or _tree_center(rows[a], rows[b], rows[c], common, cap) is None:
+        if _tree_center(ready(a), ready(b), ready(c), cap) is None and (
+            not (todo[a] or todo[b] or todo[c])
+            or _tree_center(row(a), row(b), row(c), cap) is None
+        ):
             return vs
     return None
 

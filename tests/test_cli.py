@@ -1,8 +1,13 @@
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rainbowindex
 from rainbowindex.cli import main
 
 
@@ -275,6 +280,14 @@ def test_color_lex_auto_dispatch(tmp_path, capsys):
         capsys, "color", "--op", "lex", "--g", str(p3), "--h", str(p3), "--cg", str(cg)
     )
     assert code == 4 and "ch-rc" in json.loads(err.strip().splitlines()[-1])["detail"]
+    # a one-vertex right operand is refused for its size, not for --ch-rc
+    k1 = tmp_path / "k1.json"
+    k1.write_text('{"n": 1, "edges": []}')
+    code, out, err = run(
+        capsys, "color", "--op", "lex", "--g", str(p3), "--h", str(k1), "--cg", str(cg)
+    )
+    detail = json.loads(err.strip().splitlines()[-1])["detail"]
+    assert code == 4 and out == "" and "|V(H)| >= 3" in detail and "ch-rc" not in detail
     rc = tmp_path / "rc.json"
     run(capsys, "solve", "--graph", str(p3), "--k", "2", "--emit-witness", str(rc))
     code, out, _ = run(
@@ -356,3 +369,23 @@ def test_deterministic_outputs(tmp_path, capsys):
     first = w.read_bytes()
     run(capsys, "solve", "--graph", str(g), "--emit-witness", str(w))
     assert w.read_bytes() == first
+
+
+def test_python_m_rainbowindex(capsys):
+    # the package runs as a module: same output and exit code as cli.main
+    src = str(Path(rainbowindex.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+    def module_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "rainbowindex", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    argv = ("oracle", "--family", "cycle", "--n", "5")
+    proc = module_run(*argv)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out) and code == 0
+    proc = module_run("oracle", "--no-such-flag")
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr

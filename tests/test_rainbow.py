@@ -26,7 +26,6 @@ from rainbowindex.rainbow import (
     _first_bad_set,
     _first_mask_pairs,
     _grow,
-    _reach,
     _start,
     _tree_center,
     _unsettled_triples,
@@ -114,9 +113,24 @@ def test_reach_is_antichain():
                         assert not (a & b == a)  # no subset pairs
 
 
+def complete_row(g, colors, source):
+    """The complete reach row of source, as the solver's checks read it:
+    each kept mask with its length."""
+    fams, level = _start(g.n, source)
+    _grow(g, colors, fams, level, g.n - 1)
+    return fams
+
+
+def minimal(sets):
+    return {cs for cs in sets if not any(o < cs for o in sets)}
+
+
 def test_relaxed_reach_matches_path_enumeration():
-    # An uncolored edge acts as a color of its own: give edge e the fresh
-    # color palette + e, enumerate paths, then drop the fresh colors.
+    # An uncolored edge acts as a color of its own: give each one a fresh
+    # color, enumerate paths, then drop the fresh colors.  The complete
+    # row that _start and _grow build holds, at each target, exactly the
+    # minimal concrete color sets among its keys, and every key is the
+    # concrete color set of a real path.
     rng = random.Random(71)
     for _ in range(60):
         g = random_connected_graph(rng, rng.randrange(3, 8), rng.randrange(6))
@@ -125,28 +139,25 @@ def test_relaxed_reach_matches_path_enumeration():
             None if rng.random() < 0.4 else rng.randrange(palette)
             for _ in range(g.m)
         ]
-        fresh = EdgeColoring(
-            tuple(palette + e if c is None else c for e, c in enumerate(colors)),
-            palette + g.m,
-        )
+        fresh = materialize_fresh(colors, palette)
         s = rng.randrange(g.n)
-        fams = _reach(g, colors, s)
+        fams = complete_row(g, colors, s)
         for t in range(g.n):
             concrete = {
                 frozenset(c for c in cs if c < palette)
                 for cs in path_color_sets(g, fresh, s, t)
             }
-            expect = {cs for cs in concrete if not any(o < cs for o in concrete)}
-            assert set(masks_to_sets(fams[t])) == expect
-            assert fams[t] == sorted(fams[t], key=lambda x: (x.bit_count(), x))
+            keys = set(masks_to_sets(fams[t]))
+            assert minimal(keys) == minimal(concrete)
+            assert keys <= concrete
     # no size cliff: a 300-color path, whole and with every third edge
     # uncolored, gives one mask per target
     g = path(301)
     whole = list(range(300))
     for colors in (whole, [None if c % 3 == 0 else c for c in whole]):
-        fams = _reach(g, colors, 0)
+        fams = complete_row(g, colors, 0)
         for t in range(301):
-            assert fams[t] == [sum(1 << c for c in colors[:t] if c is not None)]
+            assert list(fams[t]) == [sum(1 << c for c in colors[:t] if c is not None)]
 
 
 def test_reach_errors():
@@ -582,7 +593,7 @@ def test_block_pass_on_long_paths_with_wide_masks():
         assert (want is None) == (repeats == 0)
         # on a path the filter leaves open exactly the uncovered triples,
         # in lexicographic order
-        pair = _first_mask_pairs([_reach(g, colors, v) for v in range(n)], max(colors))
+        pair = _first_mask_pairs([complete_row(g, colors, v) for v in range(n)], max(colors))
         unsettled = list(_unsettled_triples(pair))
         assert unsettled == sorted(set(unsettled)) and len(unsettled) == uncovered
         assert not any(covered(s) for s in unsettled)
@@ -599,12 +610,13 @@ def test_first_mask_filter_is_sound_on_multi_mask_families():
     for _ in range(60):
         g = random_connected_graph(rng, rng.randrange(5, 9), rng.randrange(2, 7))
         c = random_coloring(rng, g.m, rng.randrange(2, 5))
-        fams = [_reach(g, c.colors, v) for v in range(g.n)]
+        fams = [complete_row(g, c.colors, v) for v in range(g.n)]
 
         def centers(t):
             return [x for x in range(g.n)
                     if all(fams[v][x] for v in t)
-                    and not any(fams[u][x][0] & fams[v][x][0] for u, v in combinations(t, 2))]
+                    and not any(next(iter(fams[u][x])) & next(iter(fams[v][x]))
+                                for u, v in combinations(t, 2))]
 
         unsettled = list(_unsettled_triples(_first_mask_pairs(fams, max(c.colors))))
         triples = list(combinations(range(g.n), 3))
@@ -628,12 +640,13 @@ def grown_row(g, colors, source, targets, cap):
 
 
 def test_grown_rows_give_the_verdicts_of_complete_rows():
-    # the k=3 verdict (order None) grows rows until every target has a
-    # mask and finishes them only for triples that fail there; it returns
-    # the set that the explicit-order scan of every triple, which takes
-    # complete rows, returns, on both sides of the first-mask filter's
-    # size gate (n >= 10).  A pairs-first order grows rows for its pairs
-    # that its triples then finish; complete rows give its answer too.
+    # the scan grows rows until every target has a mask and finishes them
+    # only for triples that fail there; both the k=3 verdict (order None)
+    # and the explicit order of every triple return the first triple whose
+    # complete rows give no center, on both sides of the first-mask
+    # filter's size gate (n >= 10).  A pairs-first order grows rows for
+    # its pairs that its triples then finish; complete rows give its
+    # answer too.
     rng = random.Random(107)
     seen = {"pass": 0, "head": 0, "late": 0, "gated": 0, "finished": 0, "unfinished": 0}
     for _ in range(40):
@@ -642,18 +655,21 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
         colors = list(random_coloring(rng, g.m, rng.randrange(3, 9)).colors)
         triples = list(combinations(range(n), 3))
         cap = len(set(colors))  # a cap that never binds on a total coloring
-        want = _first_bad_set(g, colors, triples, cap)
+        complete = [complete_row(g, colors, v) for v in range(n)]
+
+        def fails(s):
+            if len(s) == 2:
+                return not complete[min(s)][max(s)]
+            return _tree_center(*(complete[v] for v in s), cap) is None
+
+        want = next((t for t in triples if fails(t)), None)
+        assert _first_bad_set(g, colors, triples, cap) == want
         assert _first_bad_set(g, colors, None, cap) == want
         seen["pass" if want is None else "head" if want[:2] == (0, 1) else "late"] += 1
         seen["gated"] += len(triples) - (n - 2) > n * n
-        reach = [_reach(g, colors, v) for v in range(n)]
-        # complete rows as _tree_center reads them: each mask with its length
-        complete = [[{m: m.bit_count() for m in fam} for fam in fams] for fams in reach]
         grown = [grown_row(g, colors, v, range(n), cap)[0] for v in range(n)]
-        every = (1 << n) - 1
         seen["finished"] += sum(
-            _tree_center(*(grown[v] for v in t), every, cap) is None
-            and _tree_center(*(complete[v] for v in t), every, cap) is not None
+            _tree_center(*(grown[v] for v in t), cap) is None and not fails(t)
             for t in triples
         )
         seen["unfinished"] += sum(
@@ -664,10 +680,7 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
         rng.shuffle(triples)
         order = pairs + triples
         assert _first_bad_set(g, colors, order, cap) == next(
-            (s for s in order
-             if (not reach[min(s)][max(s)] if len(s) == 2
-                 else _tree_center(*(complete[v] for v in s), every, cap) is None)),
-            None,
+            (s for s in order if fails(s)), None
         )
     assert min(seen.values()) > 0, seen
 
