@@ -27,24 +27,28 @@ total coloring the length is the number of colors, so masks come in
 order of size, families are antichains, and the cap at the number of
 colors never binds.  With uncolored edges a longer path may bear fewer
 colors, so partial-coloring families need not be antichains.  The
-families alone give the paths back (``_path_edges``), and rainbow-tree
-witnesses need no predecessor map.
+families alone give the paths back (``_path_edges``), on rows grown to
+any level, and rainbow-tree witnesses need no predecessor map.
 
 Reach rows grow on demand (``_grow``): a row keeps its families and the
 level its search stopped before, and the search runs on from there one
 level at a time, so a row is built only as deep as the sets that read
-it need.  A pair (a, b) fails only when no rainbow path joins a and b,
-so pairs need reachability, not antichains: pair (a, b) grows the row
-of min(a, b), since a rainbow path reversed is still one, until b holds
-a mask or the search ends.
+it need.  One row store (``_reach_rows``) starts and grows the rows for
+every caller: the checker and the solver's partial checks, the witness
+search of ``find_rainbow_tree`` and the complete rows of
+``rainbow_reach``.  A pair (a, b) fails only when no rainbow path joins
+a and b, so pairs need reachability, not antichains: pair (a, b) grows
+the row of min(a, b), since a rainbow path reversed is still one, until
+b holds a mask or the search ends.
 
-A triple has one test, ``_tree_center`` on its own three rows, whatever
-the order it comes from.  A row a triple starts is grown until every
-target holds a mask, and the triple is tried on its rows as they stand:
-a center with pairwise-disjoint masks is a rainbow tree however few
-masks the rows hold.  Only when that fails are the rows finished and
-the triple tried once more, so only a failure on complete rows is a
-failing set.  In front of the k=3 scan of ``is_k_rainbow`` sits an
+A triple has one test, the store's ``triple``: ``_tree_center`` on its
+own three rows, whatever the caller or the order it comes from.  A row
+a triple starts is grown until every target holds a mask, and the
+triple is tried on its rows as they stand: a center with
+pairwise-disjoint masks is a rainbow tree however few masks the rows
+hold.  Only when that fails are the rows finished and the triple tried
+once more, so only a failure on complete rows says the set has no
+rainbow tree.  In front of the k=3 scan of ``is_k_rainbow`` sits an
 exact first-mask filter
 (``_first_mask_pairs``, ``_unsettled_triples``): a center x where the
 first (smallest) masks of the three families are pairwise disjoint
@@ -65,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, dropwhile, islice
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, as_int, is_connected, vertex_triple
 
@@ -229,17 +233,16 @@ def rainbow_reach(
 ) -> list[list[int]]:
     """Per target vertex, the antichain of minimal color sets (as
     bitmasks) achievable by rainbow paths from ``source``, sorted by
-    size, then by value: the complete reach row of ``_grow``, whose
-    families hold their masks in the order found.  Bit c of a mask is
-    color id c itself, so a mask has as many bits as the largest color
-    id used, plus one."""
+    size, then by value: the complete reach row of the row store
+    (``_reach_rows``), whose families hold their masks in the order
+    found.  Bit c of a mask is color id c itself, so a mask has as many
+    bits as the largest color id used, plus one."""
     _require_match(g, coloring)
     source = as_int(source, "source")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
-    row, level = _start(g.n, source)
-    _grow(g, coloring.colors, row, level, g.n - 1)
-    return [sorted(sorted(fam), key=int.bit_count) for fam in row]
+    _, row, _ = _reach_rows(g, coloring.colors, g.n - 1)
+    return [sorted(sorted(fam), key=int.bit_count) for fam in row(source)]
 
 
 def _ranked(colors: Sequence[int]) -> list[int]:
@@ -306,6 +309,58 @@ def _path_edges(
         v, mask = w, mask ^ bit
 
 
+def _reach_rows(
+    g: Graph, colors: Sequence[Optional[int]], cap: int
+) -> tuple[list[Optional[list[dict[int, int]]]], Callable, Callable]:
+    """The reach rows of one coloring, as (rows, row, triple): the only
+    code that starts and grows rows, for every caller.
+
+    Each row is started when a caller first needs it and grown (``_grow``,
+    no further than ``cap``) only as far as its readers need; rows[v]
+    holds its families, or None before it starts, and todo[v] the level
+    it resumes from, empty once the row is complete.  ``row(v, t)`` grows
+    v's row until fams[t] holds a mask or the search ends, and ``row(v)``
+    finishes it.  ``ready(v)`` grows a row it starts until every target
+    has a mask; a row already started stays as it stands.
+
+    ``triple(a, b, c)`` is the one triple test: the ``_tree_center`` hit
+    on the three rows made ready, else, if any of them is unfinished, the
+    hit on the finished rows, else None.  A hit is a rainbow tree however
+    far its rows are grown, and None comes only from complete rows, so it
+    means the set has no rainbow tree of at most ``cap`` edges.
+    """
+    n = g.n
+    rows: list[Optional[list[dict[int, int]]]] = [None] * n
+    todo: list[list[tuple[int, int]]] = [[]] * n  # the level each row resumes from
+
+    def row(v: int, target: Optional[int] = None) -> list[dict[int, int]]:
+        fams = rows[v]
+        if fams is None:
+            fams, todo[v] = _start(n, v)
+            rows[v] = fams
+        if todo[v] and (target is None or not fams[target]):
+            todo[v] = _grow(g, colors, fams, todo[v], cap, target)
+        return fams
+
+    def ready(v: int) -> list[dict[int, int]]:
+        fams = rows[v]
+        if fams is None:
+            fams, level = _start(n, v)
+            for t in range(n):
+                if level and not fams[t]:
+                    level = _grow(g, colors, fams, level, cap, t)
+            rows[v], todo[v] = fams, level
+        return fams
+
+    def triple(a: int, b: int, c: int) -> Optional[tuple[int, int, int, int]]:
+        hit = _tree_center(ready(a), ready(b), ready(c), cap)
+        if hit is None and (todo[a] or todo[b] or todo[c]):
+            hit = _tree_center(row(a), row(b), row(c), cap)
+        return hit
+
+    return rows, row, triple
+
+
 def find_rainbow_tree(
     g: Graph,
     coloring: EdgeColoring,
@@ -313,30 +368,27 @@ def find_rainbow_tree(
 ) -> Optional[tuple[int, ...]]:
     """Edge indices of a rainbow tree containing the 3-set, or None.
 
-    ``_tree_center`` gives the first center with pairwise color-disjoint
-    reach masks to the terminals, smallest masks first, and so three
-    rainbow paths that use no color twice.  The witness walks each path
-    out from the center and keeps an edge only when it reaches a new
-    vertex: each kept edge hangs a new vertex on one already reached, so
-    the kept edges form a tree through the terminals.
+    The triple test of the row store (``_reach_rows``), the one every
+    k=3 verdict runs, gives a center with pairwise color-disjoint reach
+    masks to the terminals, and so three rainbow paths that use no color
+    twice; the terminals' rows are grown only as far as that test needs.
+    The witness walks each path out from the center on those rows and
+    keeps an edge only when it reaches a new vertex: each kept edge
+    hangs a new vertex on one already reached, so the kept edges form a
+    tree through the terminals.
     """
     _require_match(g, coloring)
     s = vertex_triple(g, terminals)
     colors = _ranked(coloring.colors)
-    cap = len(set(colors))
-    rows = []
-    for v in s:
-        fams, level = _start(g.n, v)
-        _grow(g, colors, fams, level, cap)
-        rows.append(fams)
-    hit = _tree_center(*rows, cap)
+    rows, _, triple = _reach_rows(g, colors, len(set(colors)))
+    hit = triple(*s)
     if hit is None:
         return None
     center, *masks = hit
     seen = {center}
     tree = []
-    for fams, mask in zip(rows, masks):
-        for e, w in _path_edges(g, colors, fams, center, mask):
+    for v, mask in zip(s, masks):
+        for e, w in _path_edges(g, colors, rows[v], center, mask):
             if w not in seen:
                 seen.add(w)
                 tree.append(e)
@@ -440,19 +492,12 @@ def _first_bad_set(
     lexicographic order, the k=3 check of ``is_k_rainbow``, and needs a
     total coloring.
 
-    Each reach row is started when a set first needs it and grown
-    (``_grow``, no further than ``cap``) only as far as the sets that
-    read it need; rows[v] holds its families and todo[v] the level it
-    resumes from, empty once the row is complete.  A pair (a, b), in
-    either orientation, grows the row of min(a, b) until fams[max] holds
-    a mask or the search ends, and fails when it is still empty.
-
-    A triple's rows, when it starts them, are grown until every target
-    has a mask (``ready(v)``; a row a pair started stays as it stands),
-    and the triple is tried on them at every center.  If that fails
-    while any of them is unfinished, ``row(v)`` finishes them and the
-    triple is tried once more, so only a failure on complete rows is a
-    failing set.
+    The rows come from one store (``_reach_rows``), started when a set
+    first needs them and grown only as far as the sets that read them
+    need.  A pair (a, b), in either orientation, grows the row of
+    min(a, b) until fams[max] holds a mask or the search ends, and fails
+    when it is still empty.  A triple fails when the store's one triple
+    test, ``triple``, finds no center even on complete rows.
 
     With ``order=None`` the n - 2 triples {0, 1, c} go through the loop
     alone, so a coloring that fails among them starts only the rows it
@@ -467,27 +512,7 @@ def _first_bad_set(
     meet it.
     """
     n = g.n
-    rows: list[Optional[list[dict[int, int]]]] = [None] * n
-    todo: list[list[tuple[int, int]]] = [[]] * n  # the level each row resumes from
-
-    def row(v: int, target: Optional[int] = None) -> list[dict[int, int]]:
-        fams = rows[v]
-        if fams is None:
-            fams, todo[v] = _start(n, v)
-            rows[v] = fams
-        if todo[v] and (target is None or not fams[target]):
-            todo[v] = _grow(g, colors, fams, todo[v], cap, target)
-        return fams
-
-    def ready(v: int) -> list[dict[int, int]]:
-        fams = rows[v]
-        if fams is None:
-            fams, level = _start(n, v)
-            for t in range(n):
-                if level and not fams[t]:
-                    level = _grow(g, colors, fams, level, cap, t)
-            rows[v], todo[v] = fams, level
-        return fams
+    rows, row, triple = _reach_rows(g, colors, cap)
 
     def lex_parts(lex: Iterator[tuple[int, ...]]) -> Iterator[Iterable[tuple[int, ...]]]:
         head = list(islice(lex, n - 2))
@@ -506,12 +531,7 @@ def _first_bad_set(
             a, b = vs if vs[0] < vs[1] else vs[::-1]
             if not row(a, b)[b]:
                 return vs
-            continue
-        a, b, c = vs
-        if _tree_center(ready(a), ready(b), ready(c), cap) is None and (
-            not (todo[a] or todo[b] or todo[c])
-            or _tree_center(row(a), row(b), row(c), cap) is None
-        ):
+        elif triple(*vs) is None:
             return vs
     return None
 
@@ -548,7 +568,7 @@ def partial_failure(
     g: Graph,
     colors: Sequence[Optional[int]],
     order: Iterable[tuple[int, ...]],
-    palette: Optional[int] = None,
+    palette: int,
 ) -> Optional[tuple[int, ...]]:
     """Optimistic check for a partially colored graph.  Returns the first
     set of ``order`` (pairs and triples, in the one scan ``is_k_rainbow``
@@ -561,11 +581,12 @@ def partial_failure(
     triple.  So a set is ruled out when no center has such paths whose
     colored edges bear pairwise-disjoint color sets, none with a repeat,
     and whose lengths sum to at most that cap; an edge with color None
-    counts as one edge of a color of its own.  Without a palette the cap
-    is n - 1, which every tree meets, and the check is the one on the
-    total coloring that gives each None edge a new color.  The families
+    counts as one edge of a color of its own.  A palette of at least
+    n - 1 never binds, since every tree has at most n - 1 edges, and the
+    check is then the one on the total coloring that gives each None
+    edge a new color.  The families
     the search keeps for a partial coloring need not be antichains: a
     longer path may bear fewer colors.
     """
-    cap = g.n - 1 if palette is None else min(palette, g.n - 1)
+    cap = min(palette, g.n - 1)
     return _first_bad_set(g, colors, order, cap)

@@ -151,6 +151,11 @@ def _search_palette(
     m = g.m
     colors: list[Optional[int]] = [None] * m
     x = [0] * m  # colors by search position; x[p] is set once p is assigned
+    # Checking at every node instead cuts the 36 standard solves of the
+    # benchmark from 2,282 to 1,357 nodes with the same values and
+    # witnesses, but the extra checks cost more than the nodes they save:
+    # the 36 solves took 0.056-0.059 s against 0.044-0.050 s (best of 15,
+    # 2 CPUs, Python 3.11).
     stride = max(1, ceil(m / 4))
     culprit: Optional[tuple[int, ...]] = None
     # Per map: positions compared equal, color -> image label (-1: none

@@ -26,6 +26,9 @@ from rainbowindex.rainbow import (
     _first_bad_set,
     _first_mask_pairs,
     _grow,
+    _path_edges,
+    _ranked,
+    _reach_rows,
     _start,
     _tree_center,
     _unsettled_triples,
@@ -178,6 +181,13 @@ def test_reach_errors():
     assert find_rainbow_tree(path(5), c, np.array([4, 0, 2])) == (0, 1, 2, 3)
 
 
+def is_rainbow_tree_through(g, c, s, tree):
+    """tree (edge indices) is a rainbow tree of g under c through the set s."""
+    verts = {v for e in tree for v in g.edges[e]}
+    return (len({c.colors[e] for e in tree}) == len(tree) == len(verts) - 1
+            and set(s) <= verts and _edges_connected(g, tree, verts))
+
+
 def test_rainbow_tree_star_examples():
     g = star(4)
     assert has_rainbow_tree(g, EdgeColoring((0, 1, 2), 3), [1, 2, 3])
@@ -196,25 +206,41 @@ def test_rainbow_tree_witness_structure():
         if tree is None:
             continue
         found += 1
-        cols = [c.colors[e] for e in tree]
-        assert len(set(cols)) == len(cols)
-        verts = {v for e in tree for v in g.edges[e]}
-        assert set(s) <= verts
-        assert len(tree) == len(verts) - 1
-        assert _edges_connected(g, tree, verts)
+        assert is_rainbow_tree_through(g, c, s, tree)
     assert found > 10
 
 
 def test_rainbow_tree_where_paths_meet_away_from_center():
-    # Center 1: the paths 1-3-0 and 1-2-3 share vertex 3, and their four
-    # edges hold the cycle 1-2-3; the witness keeps three of them.
-    g = build_graph(4, [(0, 3), (2, 3), (1, 3), (1, 2)])
-    c = EdgeColoring((2, 4, 0, 3), 5)
-    tree = find_rainbow_tree(g, c, (0, 1, 3))
-    verts = {v for e in tree for v in g.edges[e]}
-    assert len(tree) == 3 and {0, 1, 3} <= verts
-    assert len({c.colors[e] for e in tree}) == 3
-    assert _edges_connected(g, tree, verts)
+    # The witness keeps a path's edge only when it reaches a new vertex.
+    # In the second instance (from a seeded search over random 5-vertex
+    # graphs) the center is terminal 0, and the path 0-4-2-3 passes
+    # terminal 2, which the path 0-2 reached first: the three paths hold
+    # four edges, and the witness keeps three of them.
+    cases = [
+        (build_graph(4, [(0, 3), (2, 3), (1, 3), (1, 2)]), EdgeColoring((2, 4, 0, 3), 5),
+         (0, 1, 3)),
+        (build_graph(5, [(2, 4), (1, 4), (2, 3), (0, 2), (0, 4)]),
+         EdgeColoring((2, 0, 1, 0, 5), 6), (0, 2, 3)),
+    ]
+    for g, c, s in cases:
+        tree = find_rainbow_tree(g, c, s)
+        assert is_rainbow_tree_through(g, c, s, tree)
+    # the second instance's paths, walked on the rows its witness read
+    colors = _ranked(c.colors)
+    rows, _, triple = _reach_rows(g, colors, len(set(colors)))
+    center, *masks = triple(*s)
+    paths = [list(_path_edges(g, colors, rows[v], center, m)) for v, m in zip(s, masks)]
+    assert sum(map(len, paths)) > len(tree)
+
+
+def test_rainbow_tree_has_no_size_cliff():
+    # on an all-distinct K8 the rows of any triple, grown one level,
+    # already meet at a center over one-color edges, though a complete
+    # row of K8 holds families of ~2,000 masks
+    g = complete(8)
+    c = EdgeColoring(tuple(range(g.m)), g.m)
+    for s in combinations(range(g.n), 3):
+        assert is_rainbow_tree_through(g, c, s, find_rainbow_tree(g, c, s))
 
 
 def test_huge_color_ids_give_the_same_results():
@@ -328,11 +354,7 @@ def test_failing_sets_and_rainbow_trees_match_brute_oracles(gc):
     for s in triples:
         tree = find_rainbow_tree(g, c, s)
         assert (tree is None) == (s not in covered)
-        if tree is None:
-            continue
-        verts = {v for e in tree for v in g.edges[e]}
-        assert len({c.colors[e] for e in tree}) == len(tree) == len(verts) - 1
-        assert set(s) <= verts and _edges_connected(g, tree, verts)
+        assert tree is None or is_rainbow_tree_through(g, c, s, tree)
 
 
 def test_numpy_colors_match_python_ints():
@@ -434,7 +456,7 @@ def test_partial_failure_matches_materialized_fresh_colors():
         ]
         full = materialize_fresh(colors, palette)
         for k in (2, 3):
-            relaxed = partial_failure(g, colors, combinations(range(g.n), k))
+            relaxed = partial_failure(g, colors, combinations(range(g.n), k), g.n - 1)
             exact = is_k_rainbow(g, full, k)
             assert (relaxed is None) == exact.ok
 
@@ -457,12 +479,12 @@ def test_partial_failure_returns_first_failing_triple_of_order():
         want = next(
             (s for s in order if not has_rainbow_tree_brute(g, full, s)), None
         )
-        assert partial_failure(g, colors, order) == want
+        assert partial_failure(g, colors, order, g.n - 1) == want
         failures += want is not None
         pairs = list(combinations(range(g.n), 2))
         pair_rng.shuffle(pairs)
         want = next((p for p in pairs if not path_color_sets(g, full, *p)), None)
-        assert partial_failure(g, colors, pairs) == want
+        assert partial_failure(g, colors, pairs, g.n - 1) == want
         pair_failures += want is not None
     assert failures > 5 and pair_failures > 5
 
@@ -477,7 +499,7 @@ def test_partial_failure_on_mixed_orders():
     # the row of 3 stops once 4 has a mask, before it reaches 0, 1 or 2
     g = build_graph(5, [(0, 1), (1, 2), (2, 4), (4, 3)])
     for pair in ((3, 4), (4, 3)):
-        assert partial_failure(g, [0, 1, 2, 3], [pair, (0, 1, 3)]) is None
+        assert partial_failure(g, [0, 1, 2, 3], [pair, (0, 1, 3)], g.n - 1) is None
     failures = pair_failures = 0
     for _ in range(60):
         n = rng.randrange(3, 9)
@@ -503,7 +525,7 @@ def test_partial_failure_on_mixed_orders():
                 ),
                 None,
             )
-            assert partial_failure(g, colors, order) == want
+            assert partial_failure(g, colors, order, g.n - 1) == want
             failures += want is not None
             pair_failures += want is not None and len(want) == 2
     assert failures > 10 and pair_failures > 5
@@ -691,10 +713,18 @@ def renamed_vertices(g, rng):
     return build_graph(g.n, [(name[u], name[v]) for u, v in g.edges])
 
 
+def first_uncovered(g, colors):
+    """The first triple whose complete rows give no center."""
+    rows = [complete_row(g, colors, v) for v in range(g.n)]
+    cap = len(set(colors))  # a cap that never binds on a total coloring
+    return next((s for s in combinations(range(g.n), 3)
+                 if _tree_center(*(rows[v] for v in s), cap) is None), None)
+
+
 def test_block_pass_on_recolored_products():
     # recolored grid and Cartesian colorings (n <= 30), in their own vertex
-    # order and renamed; find_rainbow_tree, which runs no scan, gives the
-    # first triple with no rainbow tree
+    # order and renamed; complete rows, which the checker never builds
+    # up front, give the first triple with no rainbow tree
     rng = random.Random(89)
     c4, c5 = (rx_exact(cycle(n), 3).witness for n in (4, 5))
     p5 = EdgeColoring((0, 1, 2, 3), 4)
@@ -711,8 +741,7 @@ def test_block_pass_on_recolored_products():
             colors[e] = (colors[e] + 1) % c.palette_size
             bad = EdgeColoring(tuple(colors), c.palette_size)
             for h in (g, renamed_vertices(g, rng)):
-                want = next((s for s in combinations(range(h.n), 3)
-                             if find_rainbow_tree(h, bad, s) is None), None)
+                want = first_uncovered(h, bad.colors)
                 assert is_k_rainbow(h, bad, 3).failing == want
                 if want is not None:
                     early += want[:2] == (0, 1)
@@ -726,8 +755,7 @@ def test_block_pass_on_recolored_products():
         n = rng.randrange(10, 15)
         g = random_connected_graph(rng, n, rng.randrange(n, 3 * n + 1))
         c = random_coloring(rng, g.m, rng.randrange(5, 9))
-        want = next((s for s in combinations(range(n), 3)
-                     if find_rainbow_tree(g, c, s) is None), None)
+        want = first_uncovered(g, c.colors)
         assert is_k_rainbow(g, c, 3).failing == want
         passed += want is None
         late += want is not None and want[:2] != (0, 1)
