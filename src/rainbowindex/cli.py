@@ -33,10 +33,15 @@ def _digest(path: str) -> str:
 
 
 class _Run:
-    """Collects inputs/outputs for the optional run manifest."""
+    """Collects inputs/outputs for the optional run manifest.
+
+    Inputs are digested as they are read, and only when a manifest was
+    requested: a command run without ``--manifest`` reads each input once.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
+        self.digests = args.manifest is not None
         self.params = {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("command", "func", "manifest") and v is not None
@@ -45,13 +50,16 @@ class _Run:
         self.outputs: list[str] = []
         self.started = time.monotonic()
 
+    def _load(self, path: str) -> dict:
+        if self.digests:
+            self.inputs[path] = _digest(path)
+        return graphs.load_json(path)
+
     def read_graph(self, path: str) -> graphs.Graph:
-        self.inputs[path] = _digest(path)
-        return graphs.graph_from_json_dict(graphs.load_json(path))
+        return graphs.graph_from_json_dict(self._load(path))
 
     def read_coloring(self, path: str) -> rainbow.EdgeColoring:
-        self.inputs[path] = _digest(path)
-        return rainbow.coloring_from_json_dict(graphs.load_json(path))
+        return rainbow.coloring_from_json_dict(self._load(path))
 
     def write(self, path: Optional[str], obj: dict) -> None:
         if path is None:
@@ -231,10 +239,12 @@ def cmd_solve(args: argparse.Namespace, run: _Run) -> int:
 
 def cmd_sdiam(args: argparse.Namespace, run: _Run) -> int:
     g = run.read_graph(args.graph)
-    if args.triples:
-        for record in steiner.steiner_records(g):
-            print(json.dumps(record, sort_keys=True))
-    value = steiner.sdiam3(g)
+    records = steiner.steiner_records(g) if args.triples else []
+    for record in records:
+        print(json.dumps(record, sort_keys=True))
+    # the records already hold every triple's value; below 3 vertices
+    # there are none and sdiam3 refuses the graph
+    value = max(r["d"] for r in records) if records else steiner.sdiam3(g)
     obj = {"sdiam3": value}
     run.write(args.output, obj)
     _print_json(obj)
@@ -338,10 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command; return its exit code without raising SystemExit.
+
+    The parser is built on the first call and reused by every later one:
+    ``parse_args`` returns a fresh namespace and leaves the parser as it
+    was, so the calls of one process do not see each other.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0

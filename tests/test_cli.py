@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rainbowindex
+from rainbowindex import cli
 from rainbowindex.cli import main
 
 
@@ -309,6 +311,26 @@ def test_sdiam_records(tmp_path, capsys):
     assert len(triples) == 35  # C(7,3)
     assert triples[0] == {"d": 2, "triple": [0, 1, 2]}
     assert json.loads("".join(lines[len(triples):]))["sdiam3"] == 4
+    code, plain, _ = run(capsys, "sdiam", "--graph", str(g))
+    assert code == 0 and json.loads(plain) == {"sdiam3": 4}
+
+
+def test_sdiam_triples_takes_the_value_from_its_records(tmp_path, capsys, monkeypatch):
+    # below 3 vertices there are no records, and sdiam3 still refuses the graph
+    k2 = tmp_path / "k2.json"
+    k2.write_text('{"n": 2, "edges": [[0, 1]]}')
+    code, out, err = run(capsys, "sdiam", "--graph", str(k2), "--triples")
+    assert code == 4 and out == ""
+    assert "at least 3 vertices" in json.loads(err.strip().splitlines()[-1])["detail"]
+
+    def no_second_pass(graph):
+        raise AssertionError("sdiam --triples ran a second Steiner pass")
+
+    g = tmp_path / "c7.json"
+    run(capsys, "gen", "--family", "cycle", "--n", "7", "-o", str(g))
+    monkeypatch.setattr(cli.steiner, "sdiam3", no_second_pass)
+    code, out, _ = run(capsys, "sdiam", "--graph", str(g), "--triples")
+    assert code == 0 and out.endswith('{\n  "sdiam3": 4\n}\n')
 
 
 def test_sdiam_records_disconnected_exits_4(tmp_path, capsys):
@@ -360,6 +382,85 @@ def test_manifest(tmp_path, capsys):
     assert a["inputs"] == b["inputs"]  # digests stable across reruns
     assert a["command"] == "sdiam"
     assert set(a) == {"command", "inputs", "parameters", "outputs", "wall_time_s"}
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_manifest_digests_inputs_as_read(tmp_path, capsys):
+    a, b, m = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+    run(capsys, "gen", "--family", "path", "--n", "3", "-o", str(a))
+    run(capsys, "gen", "--family", "path", "--n", "2", "-o", str(b))
+    before = sha256(a)
+    code, _, _ = run(
+        capsys, "product", "--kind", "cartesian", "--g", str(a), "--h", str(b),
+        "-o", str(a), "--manifest", str(m),
+    )
+    # the output overwrote a.json; the manifest holds the digest it was read with
+    assert code == 0 and sha256(a) != before
+    assert read(m)["inputs"] == {str(a): before, str(b): sha256(b)}
+
+
+def test_no_digest_without_manifest(tmp_path, capsys, monkeypatch):
+    p4, p3 = tmp_path / "p4.json", tmp_path / "p3.json"
+    c4, c3 = tmp_path / "c4.json", tmp_path / "c3.json"
+    run(capsys, "gen", "--family", "path", "--n", "4", "-o", str(p4))
+    run(capsys, "gen", "--family", "path", "--n", "3", "-o", str(p3))
+    run(capsys, "solve", "--graph", str(p4), "--emit-witness", str(c4))
+    run(capsys, "solve", "--graph", str(p3), "--emit-witness", str(c3))
+
+    def no_digest(path):
+        raise AssertionError(f"digested {path} without a manifest")
+
+    monkeypatch.setattr(cli, "_digest", no_digest)
+    gridg, gridc = tmp_path / "grid.json", tmp_path / "gridc.json"
+    code, _, err = run(
+        capsys, "color", "--op", "cartesian", "--g", str(p4), "--h", str(p3),
+        "--cg", str(c4), "--ch", str(c3),
+        "--out-graph", str(gridg), "--out-coloring", str(gridc),
+    )
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "verify", "--graph", str(gridg), "--coloring", str(gridc))
+    assert (code, err) == (0, "")
+
+
+# the README workflow: argv with paths relative to the working directory,
+# and the files it writes
+README_WORKFLOW = (
+    "gen --family path --n 4 -o p4.json",
+    "gen --family path --n 3 -o p3.json",
+    "product --kind cartesian --g p4.json --h p3.json -o grid.json",
+    "solve --graph p4.json --k 3 --emit-witness c4.json",
+    "solve --graph p3.json --k 3 --emit-witness c3.json",
+    "color --op cartesian --g p4.json --h p3.json --cg c4.json --ch c3.json"
+    " --out-graph grid.json --out-coloring gridc.json --out-report rep.json",
+    "verify --graph grid.json --coloring gridc.json --k 3",
+    "sdiam --graph grid.json --triples",
+    "oracle --family complete_bipartite --s 2 --t 9",
+)
+README_FILES = ("p4.json", "p3.json", "grid.json", "c4.json", "c3.json", "gridc.json", "rep.json")
+
+
+def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
+    def workflow(directory):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        results = [run(capsys, *command.split()) for command in README_WORKFLOW]
+        return results, {f: sha256(f) for f in README_FILES}
+
+    first = workflow(tmp_path / "first")
+    assert [code for code, _, _ in first[0]] == [0] * len(README_WORKFLOW)
+    assert all(err == "" for _, _, err in first[0])
+
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage: rainbowindex" in out
+    code, _, err = run(capsys, "verify", "--graph", "grid.json", "--no-such-flag")
+    assert code == 4 and json.loads(err.strip().splitlines()[-1])["error"] == "ArgumentError"
+    code, _, err = run(capsys, "solve", "--graph", "missing.json")
+    assert code == 4 and json.loads(err.strip().splitlines()[-1])["error"] == "FileNotFoundError"
+
+    assert workflow(tmp_path / "second") == first
 
 
 def test_deterministic_outputs(tmp_path, capsys):
