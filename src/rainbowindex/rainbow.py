@@ -48,26 +48,33 @@ triple is tried on its rows as they stand: a center with
 pairwise-disjoint masks is a rainbow tree however few masks the rows
 hold.  Only when that fails are the rows finished and the triple tried
 once more, so only a failure on complete rows says the set has no
-rainbow tree.  In front of the k=3 scan of ``is_k_rainbow`` sits an
-exact first-mask filter
-(``_first_mask_pairs``, ``_unsettled_triples``): a center x where the
-first (smallest) masks of the three families are pairwise disjoint
-settles the triple, since those masks are real rainbow paths, and numpy
-settles whole blocks of triples that way at once.  Only the triples it
-leaves open go through the scan, in lexicographic order, so verdicts and
-first failing sets are unchanged.  The filter needs one first mask per
-(vertex, center) entry, so it is built after the scan has passed the
-n - 2 triples {0, 1, c}, which grow every row that far, and only when
-more than n * n triples remain, since otherwise it would cost more than
-it settles.  The filter is the only numpy code here, and it imports numpy
-when it is first built, so k=2 verdicts, the solver's partial checks and
-k=3 verdicts on at most 9 vertices never load it.
+rainbow tree.
+
+In front of the k=3 scan of ``is_k_rainbow`` sit cheap settling tests
+that need only *some* rainbow path per (vertex, center) entry, not the
+antichain.  A first row (``_first_row``) is a level-order search that
+keeps one state per vertex, so each of its masks is the color set of
+one real rainbow path, and a center x where the first-row masks of the
+three terminals are pairwise disjoint settles the triple.  The n - 2
+head triples {0, 1, c} are tried that way one at a time, building the
+first row of c as each comes; the rest pass through the first-mask
+filter (``_first_mask_pairs``, ``_unsettled_triples``), which settles
+whole blocks of triples at once in numpy from the n first rows the head
+left built.  Only the triples they leave open reach the exact triple
+test, in lexicographic order, so verdicts and first failing sets are
+unchanged, and exact reach rows are started only for those: a passing
+8x8 grid starts none.  All of this runs only when more than n * n
+triples follow the head, since otherwise it would cost more than it
+settles.  The filter is the only numpy code here, and it imports numpy
+when it is first built, so k=2 verdicts, the solver's partial checks,
+k=3 verdicts that fail in the head and k=3 verdicts on at most 9
+vertices never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, dropwhile, islice
+from itertools import combinations, dropwhile
 from math import comb
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -414,27 +421,52 @@ _STEP_ELEMENTS = 1 << 13
 _WORD = (1 << 64) - 1
 
 
-def _first_mask_pairs(fams: list[list[dict[int, int]]], top: int) -> np.ndarray:
+def _first_row(steps: list[list[tuple[int, int]]], n: int, source: int) -> list[int]:
+    """One rainbow path from ``source`` to each vertex, as its color mask,
+    or -1 where the search found none.
+
+    steps[v] holds the (1 << color, w) pairs of v's incidence list on a
+    total coloring.  The search runs level by level and keeps one state
+    per vertex: w takes m | bit from the first state m that reaches it
+    over an edge whose bit is not in m.  The kept edges form a tree, so
+    each mask is the color set of a simple rainbow path, and mask 0 is
+    the source's alone.  A vertex can be missed though some rainbow path
+    reaches it, so -1 proves nothing, and a mask need not be minimal."""
+    row = [-1] * n
+    row[source] = 0
+    level = [source]
+    while level:
+        nxt = []
+        for v in level:
+            m = row[v]
+            for bit, w in steps[v]:
+                if row[w] < 0 and not m & bit:
+                    row[w] = m | bit
+                    nxt.append(w)
+        level = nxt
+    return row
+
+
+def _first_mask_pairs(first: list[list[int]], top: int) -> np.ndarray:
     """Pair bitsets of the first-mask filter.
 
-    fams[v] is the reach row of v, grown until every target has a mask
-    (or to its end), on a total coloring whose highest color is ``top``
-    (a rank, so ``top + 1`` colors are in use).  Each (vertex, center)
-    entry becomes ``top + 1`` bits in uint64 words: the first mask of its
-    family, which is a smallest one since rows grow level by level, or
-    all ones when the family is empty.  Bit x of ``pair[a, b]`` (n x n rows of
+    first[v] is the first row of v (``_first_row``) on a total coloring
+    whose highest color is ``top`` (a rank, so ``top + 1`` colors are in
+    use).  Each (vertex, center) entry becomes ``top + 1`` bits in uint64
+    words: the color mask of one rainbow path between them, or all ones
+    where the row has none (-1).  Bit x of ``pair[a, b]`` (n x n rows of
     uint64 words) is set when the entries of a and b at x are disjoint.
     All ones clashes with itself and with every nonempty mask, and only
-    x's own entry is mask 0, so an empty family settles nothing: a center
+    x's own entry is mask 0, so a missing path settles nothing: a center
     set in all three pair bitsets of a triple has three real,
-    pairwise-disjoint masks, and ``_tree_center`` passes there.
+    pairwise color-disjoint paths to it, and so a rainbow tree.
     """
     import numpy as np
 
-    n = len(fams)
+    n = len(first)
     bits = top + 1
     empty = (1 << bits) - 1
-    flat = [next(iter(f), empty) for row in fams for f in row]
+    flat = [m & empty for row in first for m in row]
     words = [
         np.array(flat if bits <= 64 else [m >> s & _WORD for m in flat], np.uint64)
         .reshape(n, n)
@@ -454,10 +486,10 @@ def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
     """Every 3-set {a, b, c} that the first-mask filter leaves open, in
     lexicographic order.
 
-    The filter settles {a, b, c} when some center x has the first masks
-    of fams[a][x], fams[b][x] and fams[c][x] pairwise disjoint: each is
-    the mask of a real rainbow path to x, so ``_tree_center`` passes at
-    x with those very masks, and a settled triple has a rainbow tree.
+    The filter settles {a, b, c} when some center x has the first-row
+    masks of a, b and c at x pairwise disjoint: each is the color set of
+    a real rainbow path to x, the three paths share no color, and so a
+    settled triple has a rainbow tree.
     That is pair[a, b] & pair[a, c] & pair[b, c] nonzero
     (``_first_mask_pairs``), computed for a block of first vertices a and
     all b < c above them at once.
@@ -499,33 +531,41 @@ def _first_bad_set(
     when it is still empty.  A triple fails when the store's one triple
     test, ``triple``, finds no center even on complete rows.
 
-    With ``order=None`` the n - 2 triples {0, 1, c} go through the loop
-    alone, so a coloring that fails among them starts only the rows it
-    needs.  Passing them all grows every row until each target has a
-    mask, which is all that the first-mask filter needs.  If more than
-    n * n triples remain (fewer cost the loop less than building the
-    filter's n * n entries), the rest pass through
-    ``_unsettled_triples`` and only the triples it leaves open reach the
-    loop, still in lexicographic order.  The filter settles only triples
-    that have a rainbow tree, so verdicts and first failing sets are
-    those of the plain loop; partial colorings and other orders never
-    meet it.
+    With ``order=None``, and if more than n * n triples follow the n - 2
+    triples {0, 1, c} (fewer cost the loop less than building the
+    filter's n * n entries), the scan first builds the first rows
+    (``_first_row``) of 0 and 1, then that of each c in turn, and a head
+    triple {0, 1, c} reaches the loop only when no center holds three
+    pairwise-disjoint first-row masks; so a coloring that fails among
+    them starts only the reach rows it needs.  The head leaves all n
+    first rows built, which is all that the first-mask filter needs: the
+    rest of the triples pass through ``_unsettled_triples``, and only
+    the triples it leaves open reach the loop, still in lexicographic
+    order.  First rows settle only triples that have a rainbow tree, so
+    verdicts and first failing sets are those of the plain loop; partial
+    colorings and other orders never meet them.
     """
     n = g.n
-    rows, row, triple = _reach_rows(g, colors, cap)
+    _, row, triple = _reach_rows(g, colors, cap)
 
-    def lex_parts(lex: Iterator[tuple[int, ...]]) -> Iterator[Iterable[tuple[int, ...]]]:
-        head = list(islice(lex, n - 2))
-        yield head
-        # asked for only once every triple of the head has passed
-        pair = _first_mask_pairs(rows, max(colors))
-        last = head[-1]
-        yield dropwhile(lambda t: t <= last, _unsettled_triples(pair))
+    def lex_order() -> Iterator[tuple[int, int, int]]:
+        steps = [[(1 << colors[e], w) for e, w in inc] for inc in g.incidence]
+        first = [_first_row(steps, n, v) for v in (0, 1)]
+        centers = [(x, a | b) for x, (a, b) in enumerate(zip(*first))
+                   if a >= 0 and b >= 0 and not a & b]
+        for c in range(2, n):
+            fc = _first_row(steps, n, c)
+            first.append(fc)
+            # ab is never 0, so a missing path (-1) clashes with it
+            if all(ab & fc[x] for x, ab in centers):
+                yield 0, 1, c
+        # reached only once every triple of the head has passed
+        pair = _first_mask_pairs(first, max(colors))
+        yield from dropwhile(lambda t: t[:2] == (0, 1), _unsettled_triples(pair))
 
     if order is None:
-        order = combinations(range(n), 3)
-        if comb(n, 3) - (n - 2) > n * n:
-            order = chain.from_iterable(lex_parts(order))
+        gated = comb(n, 3) - (n - 2) > n * n
+        order = lex_order() if gated else combinations(range(n), 3)
     for vs in order:
         if len(vs) == 2:
             a, b = vs if vs[0] < vs[1] else vs[::-1]

@@ -99,9 +99,12 @@ def has_rainbow_tree_brute(g: Graph, coloring: EdgeColoring, terminals) -> bool:
     return s in covered_triples(g, coloring)
 
 
-def path_color_sets(g: Graph, coloring: EdgeColoring, source: int, target: int):
+def path_color_sets(
+    g: Graph, coloring: EdgeColoring, source: int, target: int, minimal: bool = True
+):
     """Minimal color sets over all simple rainbow paths source -> target,
-    by exhaustive path enumeration."""
+    by exhaustive path enumeration; with ``minimal=False``, the color set
+    of every such path."""
     sets: list[frozenset[int]] = []
 
     def walk(v: int, visited: set[int], cols: frozenset[int]):
@@ -119,11 +122,9 @@ def path_color_sets(g: Graph, coloring: EdgeColoring, source: int, target: int):
     if source == target:
         return [frozenset()]
     walk(source, {source}, frozenset())
-    minimal = []
-    for cs in sets:
-        if not any(other < cs for other in sets):
-            minimal.append(cs)
-    return sorted(set(minimal), key=lambda s: (len(s), sorted(s)))
+    if minimal:
+        sets = [cs for cs in sets if not any(other < cs for other in sets)]
+    return sorted(set(sets), key=lambda s: (len(s), sorted(s)))
 
 
 def rx3_brute(g: Graph, max_palette: int = 4):

@@ -22,9 +22,11 @@ from rainbowindex import (
     rx_exact,
     star,
 )
+from rainbowindex import rainbow
 from rainbowindex.rainbow import (
     _first_bad_set,
     _first_mask_pairs,
+    _first_row,
     _grow,
     _path_edges,
     _ranked,
@@ -615,7 +617,8 @@ def test_block_pass_on_long_paths_with_wide_masks():
         assert (want is None) == (repeats == 0)
         # on a path the filter leaves open exactly the uncovered triples,
         # in lexicographic order
-        pair = _first_mask_pairs([complete_row(g, colors, v) for v in range(n)], max(colors))
+        fams = [complete_row(g, colors, v) for v in range(n)]
+        pair = _first_mask_pairs([[next(iter(f), -1) for f in row] for row in fams], max(colors))
         unsettled = list(_unsettled_triples(pair))
         assert unsettled == sorted(set(unsettled)) and len(unsettled) == uncovered
         assert not any(covered(s) for s in unsettled)
@@ -640,7 +643,8 @@ def test_first_mask_filter_is_sound_on_multi_mask_families():
                     and not any(next(iter(fams[u][x])) & next(iter(fams[v][x]))
                                 for u, v in combinations(t, 2))]
 
-        unsettled = list(_unsettled_triples(_first_mask_pairs(fams, max(c.colors))))
+        first = [[next(iter(f), -1) for f in row] for row in fams]
+        unsettled = list(_unsettled_triples(_first_mask_pairs(first, max(c.colors))))
         triples = list(combinations(range(g.n), 3))
         assert unsettled == [t for t in triples if not centers(t)]
         covered = covered_triples(g, c)
@@ -649,6 +653,83 @@ def test_first_mask_filter_is_sound_on_multi_mask_families():
             # settled only at centers where some family has several masks
             beyond_single += all(any(len(fams[v][x]) > 1 for v in t) for x in centers(t))
     assert beyond_single > 0
+
+
+def first_rows(g, colors):
+    """The first row (``_first_row``) of every vertex, on raw colors."""
+    steps = [[(1 << colors[e], w) for e, w in inc] for inc in g.incidence]
+    return [_first_row(steps, g.n, v) for v in range(g.n)]
+
+
+def test_first_rows_are_rainbow_paths():
+    # every mask of a first row is the color set of a simple rainbow path
+    # between its two vertices, and mask 0 is the source's alone, on
+    # palettes of 2 to 100 colors.  The masks need not be minimal: here
+    # the search reaches 3 first from 1 (colors {3, 4}), so 3 cannot go
+    # on to 4 over color 3, and 4 is reached over 0-2-5-6-4 with colors
+    # {1, 2, 3, 5}, a superset of those of 0-2-3-4
+    g = build_graph(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 5), (5, 6), (6, 4)])
+    c = EdgeColoring((4, 1, 3, 2, 3, 3, 2, 5), 6)
+    assert first_rows(g, c.colors)[0][4] == 0b101110
+    assert path_color_sets(g, c, 0, 4) == [frozenset({1, 2, 3})]
+    rng = random.Random(113)
+    found = wide = 0
+    for _ in range(80):
+        n = rng.randrange(4, 10)
+        g = random_connected_graph(rng, n, rng.randrange(2 * n))
+        c = random_coloring(rng, g.m, rng.choice((2, 3, 5, 8, 70, 100)))
+        for s, row in enumerate(first_rows(g, c.colors)):
+            for t, mask in enumerate(row):
+                assert (mask == 0) == (s == t)
+                if mask > 0:
+                    cs = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+                    assert cs in path_color_sets(g, c, s, t, minimal=False)
+                    found += 1
+                    wide += mask.bit_length() > 64
+    assert found > 0 and wide > 0
+
+
+def test_first_row_filter_settles_only_covered_triples():
+    # the filter, and the head's test before it, settle a triple only at
+    # a center where its three first-row masks are pairwise disjoint; on
+    # palettes of 2 to 100 colors every triple so settled is one that the
+    # brute-force oracle covers
+    rng = random.Random(127)
+    settled = wide = 0
+    for _ in range(60):
+        n = rng.randrange(5, 9)
+        g = random_connected_graph(rng, n, rng.randrange(1, 7))
+        c = random_coloring(rng, g.m, rng.choice((2, 3, 4, 70, 100)))
+        first = first_rows(g, c.colors)
+        unsettled = list(_unsettled_triples(_first_mask_pairs(first, max(c.colors))))
+        covered = covered_triples(g, c)
+        for t in combinations(range(n), 3):
+            center = any(all(first[v][x] >= 0 for v in t)
+                         and not any(first[u][x] & first[v][x] for u, v in combinations(t, 2))
+                         for x in range(n))
+            assert (t in unsettled) == (not center)
+            if center:
+                assert t in covered
+                settled += 1
+        wide += max(c.colors) >= 64
+    assert settled > 0 and wide > 0
+
+
+def test_passing_grid_verdict_starts_no_reach_row(monkeypatch):
+    # first rows settle every triple of the passing 8x8 grid, in the head
+    # and in the filter, so the verdict starts no exact reach row; the
+    # shifted coloring fails in the head, on the rows of its failing set
+    report = grid_coloring((8, 8))
+    g, c = report.derived_graph, report.coloring
+    started = []
+    start = rainbow._start
+    monkeypatch.setattr(rainbow, "_start", lambda n, v: started.append(v) or start(n, v))
+    assert is_k_rainbow(g, c, 3).ok
+    assert started == []
+    colors = list(c.colors)
+    colors[0] = (colors[0] + 1) % c.palette_size
+    failing = is_k_rainbow(g, EdgeColoring(tuple(colors), c.palette_size), 3).failing
+    assert failing[:2] == (0, 1) and set(started) == set(failing)
 
 
 def grown_row(g, colors, source, targets, cap):
