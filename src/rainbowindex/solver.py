@@ -43,7 +43,7 @@ from typing import Optional
 
 from .graphs import Graph, as_int, automorphism_transversal, bfs, is_connected
 from .rainbow import EdgeColoring, as_k, partial_failure
-from .steiner import diameter, sdiam3, triples_by_steiner_desc
+from .steiner import diameter, sdiam3
 
 DEFAULT_BUDGET = 10**8
 
@@ -137,9 +137,9 @@ def _search_palette(
     budget: int,
 ) -> Optional[list[int]]:
     """Backtracking search for a canonical coloring with the given
-    palette that gives every set of ``set_order`` (the pairs, or the
-    triples) a rainbow tree; each check is one ``partial_failure`` scan,
-    with trees capped at the palette.
+    palette that gives every set of ``set_order`` (the k-sets) a rainbow
+    tree; each check is one ``partial_failure`` scan, with trees capped
+    at the palette.
     Each position map of ``symmetries`` keeps how far the canonical
     relabelling of its image has compared equal to the assigned prefix,
     and its relabelling so far; a child whose image compares smaller is
@@ -250,7 +250,10 @@ def rx_exact(
 
     lb = lower_bound(g, k)
     order = bfs_edge_order(g)
-    set_order = triples_by_steiner_desc(g) if k == 3 else list(combinations(range(g.n), 2))
+    # Whether a set fails depends only on the coloring, the set and the
+    # cap, so the order of the sets changes no prune decision; this is
+    # the lexicographic order that ``is_k_rainbow`` scans.
+    set_order = list(combinations(range(g.n), k))
     counter = [0]
     # One color admits one canonical coloring, so there is nothing to cut.
     symmetries: list[list[int]] = []

@@ -21,21 +21,20 @@ O(1) from the distance matrix:
 
 ``sdiam3`` needs only the maximum, so it computes exact values only for
 the 3-sets whose U can still beat the best value known (``sdiam3``
-gives the argument).  ``steiner_records`` and
-``triples_by_steiner_desc`` need every value and read them from one
-blockwise pass, ``_steiner_blocks``.  Working memory is O(n^2) in both.
+gives the argument).  ``steiner_records`` needs every value and reads
+them blockwise, one block per pair of first terminals.  Working memory
+is O(n^2) in both.
 
 numpy is imported inside the functions that run numpy code
-(``all_pairs_distances`` and the Steiner pass behind ``sdiam3``,
-``steiner_records`` and ``triples_by_steiner_desc``), so importing this
-module loads none; ``diameter`` and ``steiner_distance_3`` work on BFS
-rows and never load it.
+(``all_pairs_distances`` and the Steiner pass behind ``sdiam3`` and
+``steiner_records``), so importing this module loads none; ``diameter``
+and ``steiner_distance_3`` work on BFS rows and never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .graphs import Graph, bfs, is_connected, vertex_triple
 
@@ -130,18 +129,6 @@ def _steiner_values(d: np.ndarray, a: int, b, c) -> np.ndarray:
     return (d[c] + (d[a] + d[b])).min(axis=1)
 
 
-def _steiner_blocks(g: Graph) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Steiner distances of all 3-sets, one block per pair a < b < n-1.
-
-    Yields (a, b, vals) with vals[i] the Steiner distance of
-    {a, b, b+1+i}, so the triples come in lexicographic order.
-    """
-    d = _distance_matrix(g)
-    for a in range(g.n - 2):
-        for b in range(a + 1, g.n - 1):
-            yield a, b, _steiner_values(d, a, b, slice(b + 1, None))
-
-
 def _terminal_bounds(d: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """S and U (module docstring) of the 3-sets {a, b, c} with b, c > a,
     as m x m blocks whose entry [i, j] has b = a+1+i and c = a+1+j.
@@ -203,22 +190,14 @@ def sdiam3(g: Graph) -> int:
 
 def steiner_records(g: Graph) -> list[dict]:
     """Per-triple Steiner values as JSON-ready records, triples in
-    lexicographic order."""
-    return [
-        {"triple": [a, b, c], "d": val}
-        for a, b, vals in _steiner_blocks(g)
-        for c, val in enumerate(vals.astype(int).tolist(), start=b + 1)
-    ]
-
-
-def triples_by_steiner_desc(g: Graph) -> list[tuple[int, int, int]]:
-    """All 3-sets by decreasing Steiner distance, ties in lexicographic
-    order (the solver checks the hardest sets first)."""
-    import numpy as np
-
-    blocks = list(_steiner_blocks(g))
-    if not blocks:
-        return []
-    trips = [(a, b, c) for a, b, vals in blocks for c in range(b + 1, g.n)]
-    values = np.concatenate([vals for _, _, vals in blocks])
-    return [trips[i] for i in np.argsort(-values, kind="stable")]
+    lexicographic order: one block per pair a < b, holding the 3-sets
+    {a, b, c} for every c > b."""
+    d = _distance_matrix(g)
+    records = []
+    for a in range(g.n - 2):
+        for b in range(a + 1, g.n - 1):
+            vals = _steiner_values(d, a, b, slice(b + 1, None)).astype(int).tolist()
+            records += (
+                {"triple": [a, b, c], "d": val} for c, val in enumerate(vals, start=b + 1)
+            )
+    return records

@@ -467,7 +467,7 @@ def test_partial_failure_returns_first_failing_triple_of_order():
     # pairs as well: one scan serves both set sizes
     rng = random.Random(67)
     pair_rng = random.Random(71)
-    failures = pair_failures = 0
+    failures = pair_failures = binding = 0
     for _ in range(40):
         g = random_connected_graph(rng, rng.randrange(3, 7), rng.randrange(4))
         palette = rng.randrange(1, 4)
@@ -488,7 +488,19 @@ def test_partial_failure_returns_first_failing_triple_of_order():
         want = next((p for p in pairs if not path_color_sets(g, full, *p)), None)
         assert partial_failure(g, colors, pairs, g.n - 1) == want
         pair_failures += want is not None
-    assert failures > 5 and pair_failures > 5
+        # Under a binding cap a set still fails or passes on its own, so
+        # a shuffled order returns its first set that a one-set check
+        # rules out: the set order changes no prune decision.
+        for cap in range(1, g.n - 1):
+            for sets in (order, pairs):
+                want = next(
+                    (s for s in sets if partial_failure(g, colors, [s], cap) == s), None
+                )
+                assert partial_failure(g, colors, sets, cap) == want
+                # count the sets that only the cap rules out
+                if want is not None and partial_failure(g, colors, [want], g.n - 1) is None:
+                    binding += 1
+    assert failures > 5 and pair_failures > 5 and binding > 20
 
 
 def test_partial_failure_on_mixed_orders():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -23,6 +24,7 @@ from rainbowindex import (
     sdiam3,
     star,
 )
+from rainbowindex import steiner
 
 from oracles import covered_triples, path_color_sets, random_connected_graph, rx3_brute
 
@@ -281,15 +283,69 @@ def test_search_node_counts_are_pinned(make, k, nodes):
         (lambda: complete(7), 3, 643),  # 35,120
         (lambda: complete_bipartite(2, 6), 4, 1185),  # 31,215
         (lambda: cartesian_product(cycle(4), cycle(4))[0], 4, 560),  # 134,557
+        (lambda: cartesian_product(cycle(5), path(2))[0], 4, 16_415),
+        (lambda: cartesian_product(path(3), path(4))[0], 5, 2_403),
+        (lambda: cartesian_product(complete(3), complete(3))[0], 4, 1_891),
     ],
-    ids=["K6", "C4xP2", "P3xP3", "K7", "K2,6", "C4xC4"],
+    ids=["K6", "C4xP2", "P3xP3", "K7", "K2,6", "C4xC4", "C5xP2", "P3xP4", "K3xK3"],
 )
 def test_capped_pruning_decides_hard_k3_cases(make, value, nodes):
     # Capping each check's trees at the palette decides the first three
     # within the benchmark's budget of 20,000 nodes (without the cap all
     # three ran out of it; their values are those of bench/refs.json).
-    # The last three need symmetry breaking to fit that budget.
+    # The next three need symmetry breaking to fit that budget.  C5xP2 is
+    # the largest search decided here, so a costlier check shows up in
+    # its time.
     g = make()
     res = rx_exact(g, 3, budget=20_000)
     assert res.exact and res.value == value and res.nodes_explored == nodes
     assert is_k_rainbow(g, res.witness, 3).ok
+
+
+# The 18 graphs of the benchmark's solve-families workload.
+SOLVE_FAMILIES = (
+    ("P6", path(6)), ("P8", path(8)),
+    ("C5", cycle(5)), ("C6", cycle(6)), ("C7", cycle(7)), ("C8", cycle(8)),
+    ("K4", complete(4)), ("K5", complete(5)), ("K6", complete(6)),
+    ("K2,3", complete_bipartite(2, 3)), ("K2,4", complete_bipartite(2, 4)),
+    ("K2,5", complete_bipartite(2, 5)), ("K3,3", complete_bipartite(3, 3)),
+    ("S6", star(6)),
+    ("P2xP3", cartesian_product(path(2), path(3))[0]),
+    ("P2xP4", cartesian_product(path(2), path(4))[0]),
+    ("C4xP2", cartesian_product(cycle(4), path(2))[0]),
+    ("P3xP3", cartesian_product(path(3), path(3))[0]),
+)
+
+# sha256 of repr([(name, k, value, exact, lower, upper, nodes_explored,
+# witness colors), ...]) over the solves of test_solver_outcomes_match_the_pinned_hash
+SOLVES_PINNED = "21818a566ea1d8ad146150cb8e164d83f2021d19aa2e99b029bd403dcd7a4bae"
+
+
+def test_solver_outcomes_match_the_pinned_hash():
+    # Every family at k = 2 and 3 within the benchmark's budget, plus
+    # C7xP2 at k = 3, which exhausts 2,000 nodes.  A change to the set
+    # order or to the cost of a check must leave every value, witness,
+    # node count and bracket as it is.
+    solves = [(name, g, k, 20_000) for name, g in SOLVE_FAMILIES for k in (2, 3)]
+    solves.append(("C7xP2", cartesian_product(cycle(7), path(2))[0], 3, 2_000))
+    outcomes = []
+    for name, g, k, budget in solves:
+        r = rx_exact(g, k, budget=budget)
+        outcomes.append(
+            (name, k, r.value, r.exact, r.lower, r.upper, r.nodes_explored, r.witness.colors)
+        )
+    assert sum(o[3] for o in outcomes) == 36  # all exact but the last
+    assert outcomes[-1][2:7] == (None, False, 5, 21, 2_000)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == SOLVES_PINNED
+
+
+def test_k3_solve_runs_one_steiner_pass(monkeypatch):
+    # The lower bound's sdiam3 is the only Steiner pass of a k=3 solve,
+    # so one distance matrix is built.
+    real = steiner.all_pairs_distances
+    calls = []
+    monkeypatch.setattr(
+        steiner, "all_pairs_distances", lambda g: calls.append(g.n) or real(g)
+    )
+    res = rx_exact(cartesian_product(cycle(4), path(2))[0], 3)
+    assert res.exact and res.value == 3 and calls == [8]

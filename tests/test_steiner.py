@@ -22,7 +22,7 @@ from rainbowindex import (
     star,
     steiner_distance_3,
 )
-from rainbowindex.steiner import _steiner_blocks, steiner_records, triples_by_steiner_desc
+from rainbowindex.steiner import steiner_records
 
 from oracles import distances_brute, random_connected_graph, sdiam3_brute, steiner_brute
 
@@ -237,19 +237,8 @@ def test_sdiam3_equals_full_blocks_where_bounds_tie():
     graphs += [_grid(dims) for dims in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))]
     graphs += [_connected_gnp(rng, rng.randrange(5, 41)) for _ in range(30)]
     for g in graphs:
-        full = max(int(vals.max()) for _, _, vals in _steiner_blocks(g))
+        full = max(r["d"] for r in steiner_records(g))
         assert sdiam3(g) == full, g
-
-
-def test_triples_by_steiner_desc_matches_stable_brute_sort():
-    rng = random.Random(37)
-    for _ in range(10):
-        g = random_connected_graph(rng, rng.randrange(3, 8), rng.randrange(4))
-        expected = sorted(
-            combinations(range(g.n), 3), key=lambda t: -steiner_brute(g, t)
-        )
-        assert triples_by_steiner_desc(g) == expected
-    assert triples_by_steiner_desc(path(2)) == []
 
 
 def test_sdiam3_errors():
