@@ -37,9 +37,9 @@ it need.  One row store (``_reach_rows``) starts and grows the rows for
 every caller: the checker and the solver's partial checks, the witness
 search of ``find_rainbow_tree`` and the complete rows of
 ``rainbow_reach``.  A pair (a, b) fails only when no rainbow path joins
-a and b, so pairs need reachability, not antichains: pair (a, b) grows
-the row of min(a, b), since a rainbow path reversed is still one, until
-b holds a mask or the search ends.
+a and b, so pairs need reachability, not antichains: a pair that reaches
+the store grows the row of min(a, b), since a rainbow path reversed is
+still one, until b holds a mask or the search ends.
 
 A triple has one test, the store's ``triple``: ``_tree_center`` on its
 own three rows, whatever the caller or the order it comes from.  A row
@@ -50,25 +50,28 @@ hold.  Only when that fails are the rows finished and the triple tried
 once more, so only a failure on complete rows says the set has no
 rainbow tree.
 
-In front of the k=3 scan of ``is_k_rainbow`` sit cheap settling tests
-that need only *some* rainbow path per (vertex, center) entry, not the
-antichain.  A first row (``_first_row``) is a level-order search that
-keeps one state per vertex, so each of its masks is the color set of
-one real rainbow path, and a center x where the first-row masks of the
-three terminals are pairwise disjoint settles the triple.  The n - 2
-head triples {0, 1, c} are tried that way one at a time, building the
-first row of c as each comes; the rest pass through the first-mask
-filter (``_first_mask_pairs``, ``_unsettled_triples``), which settles
-whole blocks of triples at once in numpy from the n first rows the head
-left built.  Only the triples they leave open reach the exact triple
-test, in lexicographic order, so verdicts and first failing sets are
-unchanged, and exact reach rows are started only for those: a passing
-8x8 grid starts none.  All of this runs only when more than n * n
-triples follow the head, since otherwise it would cost more than it
-settles.  The filter is the only numpy code here, and it imports numpy
-when it is first built, so k=2 verdicts, the solver's partial checks,
-k=3 verdicts that fail in the head and k=3 verdicts on at most 9
-vertices never load it.
+In front of the scans of ``is_k_rainbow``, for k=2 and k=3 alike, sit
+cheap settling tests that need only *some* rainbow path per (vertex,
+center) entry, not the antichain.  A first row (``_first_row``) is a
+level-order search that keeps one state per vertex, so each of its masks
+is the color set of one real rainbow path.  For k=2 that settles the
+pair: the first row of each a settles every pair (a, b), b > a, that it
+reaches, and only the pairs it misses reach the store.  For k=3 a
+center x where the first-row masks of the three terminals are pairwise
+disjoint settles the triple.  The n - 2 head triples {0, 1, c} are
+tried that way one at a time, building the first row of c as each
+comes; the rest pass through the first-mask filter
+(``_first_mask_pairs``, ``_unsettled_triples``), which settles whole
+blocks of triples at once in numpy from the n first rows the head left
+built.  Only the sets they leave open reach the exact tests, in
+lexicographic order, so verdicts and first failing sets are unchanged,
+and exact reach rows are started only for those: a passing 8x8 grid
+starts none, at k=2 or k=3.  The k=3 tests run only when more than
+n * n triples follow the head, since otherwise they would cost more
+than they settle.  The filter is the only numpy code here, and it
+imports numpy when it is first built, so k=2 verdicts, the solver's
+partial checks, k=3 verdicts that fail in the head and k=3 verdicts on
+at most 9 vertices never load it.
 """
 
 from __future__ import annotations
@@ -431,11 +434,14 @@ def _first_row(steps: list[list[tuple[int, int]]], n: int, source: int) -> list[
     over an edge whose bit is not in m.  The kept edges form a tree, so
     each mask is the color set of a simple rainbow path, and mask 0 is
     the source's alone.  A vertex can be missed though some rainbow path
-    reaches it, so -1 proves nothing, and a mask need not be minimal."""
+    reaches it, so -1 proves nothing, and a mask need not be minimal.
+    The search stops after the level that gives the last vertex its
+    mask: a later level could only expand states, never change the row."""
     row = [-1] * n
     row[source] = 0
     level = [source]
-    while level:
+    left = n - 1
+    while level and left:
         nxt = []
         for v in level:
             m = row[v]
@@ -443,6 +449,7 @@ def _first_row(steps: list[list[tuple[int, int]]], n: int, source: int) -> list[
                 if row[w] < 0 and not m & bit:
                     row[w] = m | bit
                     nxt.append(w)
+        left -= len(nxt)
         level = nxt
     return row
 
@@ -516,13 +523,13 @@ def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
 def _first_bad_set(
     g: Graph,
     colors: Sequence[Optional[int]],
-    order: Optional[Iterable[tuple[int, ...]]],
+    order: int | Iterable[tuple[int, ...]],
     cap: int,
 ) -> Optional[tuple[int, ...]]:
     """First pair or triple of ``order`` with no rainbow tree of at most
-    ``cap`` edges, or None.  ``order=None`` stands for every triple in
-    lexicographic order, the k=3 check of ``is_k_rainbow``, and needs a
-    total coloring.
+    ``cap`` edges, or None.  An int ``order`` is the set size k (2 or 3)
+    and stands for every k-set in lexicographic order, the check of
+    ``is_k_rainbow``; it needs a total coloring.
 
     The rows come from one store (``_reach_rows``), started when a set
     first needs them and grown only as far as the sets that read them
@@ -531,25 +538,35 @@ def _first_bad_set(
     when it is still empty.  A triple fails when the store's one triple
     test, ``triple``, finds no center even on complete rows.
 
-    With ``order=None``, and if more than n * n triples follow the n - 2
-    triples {0, 1, c} (fewer cost the loop less than building the
-    filter's n * n entries), the scan first builds the first rows
-    (``_first_row``) of 0 and 1, then that of each c in turn, and a head
-    triple {0, 1, c} reaches the loop only when no center holds three
-    pairwise-disjoint first-row masks; so a coloring that fails among
-    them starts only the reach rows it needs.  The head leaves all n
-    first rows built, which is all that the first-mask filter needs: the
-    rest of the triples pass through ``_unsettled_triples``, and only
-    the triples it leaves open reach the loop, still in lexicographic
-    order.  First rows settle only triples that have a rainbow tree, so
-    verdicts and first failing sets are those of the plain loop; partial
-    colorings and other orders never meet them.
+    With an int ``order`` the first rows (``_first_row``) settle sets
+    before any exact row starts, all read from one step table.  For k=2
+    the first row of each a settles every pair (a, b), b > a, whose
+    first-row mask is not -1: it is the color set of a real rainbow
+    path.  For k=3, if more than n * n triples follow the n - 2 triples
+    {0, 1, c} (fewer cost the loop less than building the filter's
+    n * n entries), the scan first builds the first rows of 0 and 1,
+    then that of each c in turn, and a head triple {0, 1, c} reaches
+    the loop only when no center holds three pairwise-disjoint
+    first-row masks; so a coloring that fails among them starts only
+    the reach rows it needs.  The head leaves all n first rows built,
+    which is all that the first-mask filter needs: the rest of the
+    triples pass through ``_unsettled_triples``.  Only the sets left
+    open reach the loop, still in lexicographic order, and first rows
+    settle only sets that have a rainbow tree, so verdicts and first
+    failing sets are those of the plain loop; partial colorings and
+    other orders never meet them.
     """
     n = g.n
     _, row, triple = _reach_rows(g, colors, cap)
 
-    def lex_order() -> Iterator[tuple[int, int, int]]:
-        steps = [[(1 << colors[e], w) for e, w in inc] for inc in g.incidence]
+    def open_pairs(steps) -> Iterator[tuple[int, int]]:
+        for a in range(n - 1):
+            first = _first_row(steps, n, a)
+            for b in range(a + 1, n):
+                if first[b] < 0:
+                    yield a, b
+
+    def open_triples(steps) -> Iterator[tuple[int, int, int]]:
         first = [_first_row(steps, n, v) for v in (0, 1)]
         centers = [(x, a | b) for x, (a, b) in enumerate(zip(*first))
                    if a >= 0 and b >= 0 and not a & b]
@@ -563,9 +580,12 @@ def _first_bad_set(
         pair = _first_mask_pairs(first, max(colors))
         yield from dropwhile(lambda t: t[:2] == (0, 1), _unsettled_triples(pair))
 
-    if order is None:
-        gated = comb(n, 3) - (n - 2) > n * n
-        order = lex_order() if gated else combinations(range(n), 3)
+    if isinstance(order, int):
+        if order == 3 and comb(n, 3) - (n - 2) <= n * n:
+            order = combinations(range(n), 3)
+        else:
+            steps = [[(1 << colors[e], w) for e, w in inc] for inc in g.incidence]
+            order = (open_pairs if order == 2 else open_triples)(steps)
     for vs in order:
         if len(vs) == 2:
             a, b = vs if vs[0] < vs[1] else vs[::-1]
@@ -593,14 +613,16 @@ def is_k_rainbow(
     rainbow path, i.e. rainbow connectivity).
 
     The failing verdict carries the lexicographically first bad set.
+    The k-sets are scanned in lexicographic order (``_first_bad_set``
+    with order k), first rows settling most of them before any exact
+    reach row starts.
     """
     k = as_k(k)
     _require_match(g, coloring)
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")
-    order = combinations(range(g.n), 2) if k == 2 else None
     colors = _ranked(coloring.colors)
-    bad = _first_bad_set(g, colors, order, len(set(colors)))
+    bad = _first_bad_set(g, colors, k, len(set(colors)))
     return Verdict(bad is None, bad)
 
 

@@ -297,12 +297,14 @@ def test_k2_short_circuit():
 
 
 def test_k2_has_no_size_cliff():
-    # a pair needs one mask per target, so an all-distinct K40 (780
-    # colors, masks far wider than 64 bits) is settled after one level
+    # a pair needs one rainbow path, so in an all-distinct K40 (780
+    # colors, masks far wider than 64 bits) the first row of each vertex
+    # settles every pair after one level and stops there
     g = complete(40)
     assert is_k_rainbow(g, EdgeColoring(tuple(range(g.m)), g.m), 2).ok
     # P300 with edges i < j sharing a color: (0, j + 1) is the first pair
-    # whose path holds both, and row 0 runs to its natural end
+    # whose path holds both, the first row of 0 misses it, and the exact
+    # row 0 runs to its natural end
     g = path(300)
     for i, j in ((0, 1), (17, 250), (297, 298)):
         colors = list(range(g.m))
@@ -744,6 +746,53 @@ def test_passing_grid_verdict_starts_no_reach_row(monkeypatch):
     assert failing[:2] == (0, 1) and set(started) == set(failing)
 
 
+def test_passing_k2_verdicts_start_no_reach_row(monkeypatch):
+    # first rows settle every pair of the passing 8x8 grid and of an
+    # all-distinct K40, so their k=2 verdicts start no exact reach row;
+    # the shifted grid coloring fails at (0, 16), the first pair that the
+    # first row of 0 misses, and starts the exact row of 0 alone
+    report = grid_coloring((8, 8))
+    g, c = report.derived_graph, report.coloring
+    started = []
+    start = rainbow._start
+    monkeypatch.setattr(rainbow, "_start", lambda n, v: started.append(v) or start(n, v))
+    assert is_k_rainbow(g, c, 2).ok
+    k40 = complete(40)
+    assert is_k_rainbow(k40, EdgeColoring(tuple(range(k40.m)), k40.m), 2).ok
+    assert started == []
+    colors = list(c.colors)
+    colors[0] = (colors[0] + 1) % c.palette_size
+    verdict = is_k_rainbow(g, EdgeColoring(tuple(colors), c.palette_size), 2)
+    assert verdict == Verdict(False, (0, 16)) and started == [0]
+
+
+def test_first_row_stop_keeps_the_row():
+    # _first_row stops once every vertex holds a mask; the same search run
+    # until its levels run out gives the same row
+    def full_row(steps, n, source):
+        row = [-1] * n
+        row[source] = 0
+        level = [source]
+        while level:
+            nxt = []
+            for v in level:
+                for bit, w in steps[v]:
+                    if row[w] < 0 and not row[v] & bit:
+                        row[w] = row[v] | bit
+                        nxt.append(w)
+            level = nxt
+        return row
+
+    rng = random.Random(137)
+    for _ in range(60):
+        n = rng.randrange(2, 14)
+        g = random_connected_graph(rng, n, rng.randrange(3 * n))
+        c = random_coloring(rng, g.m, rng.choice((2, 3, 5, 8, 70)))
+        steps = [[(1 << c.colors[e], w) for e, w in inc] for inc in g.incidence]
+        for s in range(n):
+            assert _first_row(steps, n, s) == full_row(steps, n, s)
+
+
 def grown_row(g, colors, source, targets, cap):
     """The reach row of source grown until each of targets holds a mask,
     and whether its search is unfinished there."""
@@ -756,12 +805,13 @@ def grown_row(g, colors, source, targets, cap):
 
 def test_grown_rows_give_the_verdicts_of_complete_rows():
     # the scan grows rows until every target has a mask and finishes them
-    # only for triples that fail there; both the k=3 verdict (order None)
+    # only for triples that fail there; both the k=3 verdict (order 3)
     # and the explicit order of every triple return the first triple whose
     # complete rows give no center, on both sides of the first-mask
-    # filter's size gate (n >= 10).  A pairs-first order grows rows for
-    # its pairs that its triples then finish; complete rows give its
-    # answer too.
+    # filter's size gate (n >= 10), and the k=2 verdict (order 2) the
+    # first pair with no path.  A pairs-first order grows rows for its
+    # pairs that its triples then finish; complete rows give its answer
+    # too.
     rng = random.Random(107)
     seen = {"pass": 0, "head": 0, "late": 0, "gated": 0, "finished": 0, "unfinished": 0}
     for _ in range(40):
@@ -779,7 +829,10 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
 
         want = next((t for t in triples if fails(t)), None)
         assert _first_bad_set(g, colors, triples, cap) == want
-        assert _first_bad_set(g, colors, None, cap) == want
+        assert _first_bad_set(g, colors, 3, cap) == want
+        assert _first_bad_set(g, colors, 2, cap) == next(
+            (p for p in combinations(range(n), 2) if fails(p)), None
+        )
         seen["pass" if want is None else "head" if want[:2] == (0, 1) else "late"] += 1
         seen["gated"] += len(triples) - (n - 2) > n * n
         grown = [grown_row(g, colors, v, range(n), cap)[0] for v in range(n)]

@@ -1,4 +1,4 @@
-"""k=3 verdicts and first failing sets pinned by one hash.
+"""k=2 and k=3 verdicts and first failing sets pinned by one hash each.
 
 A seeded pool of colorings on both sides of the first-mask filter's size
 gate (constructions, their recolorings in their own vertex order and
@@ -25,6 +25,8 @@ from rainbowindex import (
 
 # sha256 of repr([(ok, failing), ...]) over verdict_pool(random.Random(131))
 PINNED = "17150ad35876d8d2061c65eda64761bb10eb77da11086c4dc7f01715e14fa89b"
+# the same at k=2
+PINNED_K2 = "b0f55eac4799440c8adc7776ae129f3e5373e19e70ac1eb23cdc6b4a01a80816"
 
 
 def gnp(rng, n, p):
@@ -72,3 +74,13 @@ def test_k3_verdicts_match_the_pinned_hash():
     assert sum(ok for ok, _ in verdicts) == 326
     assert sum(failing[:2] == (0, 1) for ok, failing in verdicts if not ok) == 60
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == PINNED
+
+
+def test_k2_verdicts_match_the_pinned_hash():
+    verdicts = []
+    for g, c in verdict_pool(random.Random(131)):
+        v = is_k_rainbow(g, c, 2)
+        verdicts.append((v.ok, v.failing))
+    assert len(verdicts) == 550
+    assert sum(ok for ok, _ in verdicts) == 438
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == PINNED_K2
