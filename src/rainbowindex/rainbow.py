@@ -7,17 +7,21 @@ sets to the three terminals: the union of such paths uses no color twice,
 so any spanning tree of it is a rainbow tree through the set.
 
 Color sets are bitmasks held in Python ints, so any palette size
-works.  The reach search also accepts edges with color None, treated as
-bearing a color unique to that edge: masks then track only the concrete
-colors, which is equivalent because an edge appears at most once in a
-path, and two paths sharing such an edge still form an all-distinct-colors
-union.  The exact solver uses this for its optimistic partial-coloring
-checks, with every tree capped at its palette (``partial_failure``).  The
-checker and the solver share one scan, for pairs (k=2) and triples (k=3)
-alike: the first set of an order with no rainbow tree.
+works.  Every reach search reads a coloring as one step table
+(``step_table``): per vertex, a (bit, w) step per incident edge, in
+incidence order, where bit is 1 << color.  An uncolored edge (color
+None) is a step of bit 0, and so bears a color unique to that edge:
+masks then track only the concrete colors, which is equivalent because
+an edge appears at most once in a path, and two paths sharing such an
+edge still form an all-distinct-colors union.  The exact solver uses
+this for its optimistic partial-coloring checks, with every tree capped
+at its palette (``partial_failure``), on one table per palette that it
+updates in place.  The checker and the solver share one scan, for pairs
+(k=2) and triples (k=3) alike: the first set of an order with no
+rainbow tree.
 
-The reach search runs by path length, one edge per step, an uncolored
-edge adding no bit: all paths of p edges before any of p + 1, and none
+The reach search runs by path length, one edge per step, a step of bit
+0 adding nothing: all paths of p edges before any of p + 1, and none
 longer than the scan's cap.  A mask is kept only if no mask already
 found at its vertex is a subset of it, and since no shorter path can
 come later, a kept mask is never removed and no family is ever rebuilt;
@@ -165,9 +169,19 @@ def _start(n: int, source: int) -> tuple[list[dict[int, int]], list[tuple[int, i
     return fams, [(source, 0)]
 
 
+def step_table(
+    g: Graph, colors: Sequence[Optional[int]]
+) -> list[list[tuple[int, int]]]:
+    """The steps of a coloring that every reach search reads:
+    steps[v] holds a (bit, w) pair per entry (e, w) of g.incidence[v], in
+    that order, where bit is 1 << colors[e], or 0 when colors[e] is None
+    (an uncolored edge)."""
+    bits = [0 if c is None else 1 << c for c in colors]
+    return [[(bits[e], w) for e, w in inc] for inc in g.incidence]
+
+
 def _grow(
-    g: Graph,
-    colors: Sequence[Optional[int]],
+    steps: list[list[tuple[int, int]]],
     fams: list[dict[int, int]],
     level: list[tuple[int, int]],
     cap: int,
@@ -177,10 +191,11 @@ def _grow(
     empty), and return the level it stopped before: empty once the
     search has ended, and then fams is the complete row.
 
-    colors[e] is the color of edge e, or None for a color unique to that
-    edge (contributing nothing to masks).  fams[t] maps the masks of
-    rainbow paths source->t kept so far, in the order found, to their
-    lengths in edges.
+    steps is the coloring's step table (``step_table``): steps[v] holds
+    the (bit, w) step of each edge at v, bit 0 for an uncolored edge,
+    which never clashes with a mask and adds nothing to it.  fams[t]
+    maps the masks of rainbow paths source->t kept so far, in the order
+    found, to their lengths in edges.
 
     The search runs level by level, and a level is a path length: level
     p holds the states (vertex, mask) of paths with p edges, and each
@@ -205,7 +220,6 @@ def _grow(
     insertion, and a run to the end (``target=None``) pays only the test
     of ``target``.
     """
-    incidence = g.incidence
     v, mask = level[0]
     depth = fams[v][mask]
     while level:
@@ -214,15 +228,10 @@ def _grow(
         depth += 1
         nxt = []
         for v, mask in level:
-            for e, w in incidence[v]:
-                c = colors[e]
-                if c is None:
-                    nm = mask
-                else:
-                    bit = 1 << c
-                    if mask & bit:
-                        continue
-                    nm = mask | bit
+            for bit, w in steps[v]:
+                if mask & bit:
+                    continue
+                nm = mask | bit
                 fw = fams[w]
                 for x in fw:
                     if x & nm == x:
@@ -251,7 +260,7 @@ def rainbow_reach(
     source = as_int(source, "source")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
-    _, row, _ = _reach_rows(g, coloring.colors, g.n - 1)
+    _, row, _ = _reach_rows(step_table(g, coloring.colors), g.n - 1)
     return [sorted(sorted(fam), key=int.bit_count) for fam in row(source)]
 
 
@@ -320,10 +329,13 @@ def _path_edges(
 
 
 def _reach_rows(
-    g: Graph, colors: Sequence[Optional[int]], cap: int
+    steps: list[list[tuple[int, int]]], cap: int
 ) -> tuple[list[Optional[list[dict[int, int]]]], Callable, Callable]:
-    """The reach rows of one coloring, as (rows, row, triple): the only
-    code that starts and grows rows, for every caller.
+    """The reach rows of the coloring whose step table is ``steps``
+    (``step_table``), as (rows, row, triple): the only code that starts
+    and grows rows, for every caller.  The rows read the table as it
+    stands when they grow, so it must not change while the store is in
+    use.
 
     Each row is started when a caller first needs it and grown (``_grow``,
     no further than ``cap``) only as far as its readers need; rows[v]
@@ -339,7 +351,7 @@ def _reach_rows(
     far its rows are grown, and None comes only from complete rows, so it
     means the set has no rainbow tree of at most ``cap`` edges.
     """
-    n = g.n
+    n = len(steps)
     rows: list[Optional[list[dict[int, int]]]] = [None] * n
     todo: list[list[tuple[int, int]]] = [[]] * n  # the level each row resumes from
 
@@ -349,7 +361,7 @@ def _reach_rows(
             fams, todo[v] = _start(n, v)
             rows[v] = fams
         if todo[v] and (target is None or not fams[target]):
-            todo[v] = _grow(g, colors, fams, todo[v], cap, target)
+            todo[v] = _grow(steps, fams, todo[v], cap, target)
         return fams
 
     def ready(v: int) -> list[dict[int, int]]:
@@ -358,7 +370,7 @@ def _reach_rows(
             fams, level = _start(n, v)
             for t in range(n):
                 if level and not fams[t]:
-                    level = _grow(g, colors, fams, level, cap, t)
+                    level = _grow(steps, fams, level, cap, t)
             rows[v], todo[v] = fams, level
         return fams
 
@@ -390,7 +402,7 @@ def find_rainbow_tree(
     _require_match(g, coloring)
     s = vertex_triple(g, terminals)
     colors = _ranked(coloring.colors)
-    rows, _, triple = _reach_rows(g, colors, len(set(colors)))
+    rows, _, triple = _reach_rows(step_table(g, colors), len(set(colors)))
     hit = triple(*s)
     if hit is None:
         return None
@@ -428,10 +440,11 @@ def _first_row(steps: list[list[tuple[int, int]]], n: int, source: int) -> list[
     """One rainbow path from ``source`` to each vertex, as its color mask,
     or -1 where the search found none.
 
-    steps[v] holds the (1 << color, w) pairs of v's incidence list on a
-    total coloring.  The search runs level by level and keeps one state
-    per vertex: w takes m | bit from the first state m that reaches it
-    over an edge whose bit is not in m.  The kept edges form a tree, so
+    steps is the step table (``step_table``) of a total coloring, the
+    one the exact rows of the same scan read, so no step has bit 0.  The
+    search runs level by level and keeps one state per vertex: w takes
+    m | bit from the first state m that reaches it over an edge whose bit
+    is not in m.  The kept edges form a tree, so
     each mask is the color set of a simple rainbow path, and mask 0 is
     the source's alone.  A vertex can be missed though some rainbow path
     reaches it, so -1 proves nothing, and a mask need not be minimal.
@@ -521,15 +534,16 @@ def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
 
 
 def _first_bad_set(
-    g: Graph,
-    colors: Sequence[Optional[int]],
+    steps: list[list[tuple[int, int]]],
     order: int | Iterable[tuple[int, ...]],
     cap: int,
 ) -> Optional[tuple[int, ...]]:
     """First pair or triple of ``order`` with no rainbow tree of at most
-    ``cap`` edges, or None.  An int ``order`` is the set size k (2 or 3)
-    and stands for every k-set in lexicographic order, the check of
-    ``is_k_rainbow``; it needs a total coloring.
+    ``cap`` edges, or None, on the coloring whose step table is
+    ``steps`` (``step_table``).  An int ``order`` is the set size k (2 or
+    3) and stands for every k-set in lexicographic order, the check of
+    ``is_k_rainbow``; it needs a total coloring by ranks 0..cap-1, so
+    that cap is the number of colors.
 
     The rows come from one store (``_reach_rows``), started when a set
     first needs them and grown only as far as the sets that read them
@@ -539,7 +553,7 @@ def _first_bad_set(
     test, ``triple``, finds no center even on complete rows.
 
     With an int ``order`` the first rows (``_first_row``) settle sets
-    before any exact row starts, all read from one step table.  For k=2
+    before any exact row starts, reading the same table.  For k=2
     the first row of each a settles every pair (a, b), b > a, whose
     first-row mask is not -1: it is the color set of a real rainbow
     path.  For k=3, if more than n * n triples follow the n - 2 triples
@@ -556,17 +570,17 @@ def _first_bad_set(
     failing sets are those of the plain loop; partial colorings and
     other orders never meet them.
     """
-    n = g.n
-    _, row, triple = _reach_rows(g, colors, cap)
+    n = len(steps)
+    _, row, triple = _reach_rows(steps, cap)
 
-    def open_pairs(steps) -> Iterator[tuple[int, int]]:
+    def open_pairs() -> Iterator[tuple[int, int]]:
         for a in range(n - 1):
             first = _first_row(steps, n, a)
             for b in range(a + 1, n):
                 if first[b] < 0:
                     yield a, b
 
-    def open_triples(steps) -> Iterator[tuple[int, int, int]]:
+    def open_triples() -> Iterator[tuple[int, int, int]]:
         first = [_first_row(steps, n, v) for v in (0, 1)]
         centers = [(x, a | b) for x, (a, b) in enumerate(zip(*first))
                    if a >= 0 and b >= 0 and not a & b]
@@ -577,15 +591,14 @@ def _first_bad_set(
             if all(ab & fc[x] for x, ab in centers):
                 yield 0, 1, c
         # reached only once every triple of the head has passed
-        pair = _first_mask_pairs(first, max(colors))
+        pair = _first_mask_pairs(first, cap - 1)
         yield from dropwhile(lambda t: t[:2] == (0, 1), _unsettled_triples(pair))
 
     if isinstance(order, int):
         if order == 3 and comb(n, 3) - (n - 2) <= n * n:
             order = combinations(range(n), 3)
         else:
-            steps = [[(1 << colors[e], w) for e, w in inc] for inc in g.incidence]
-            order = (open_pairs if order == 2 else open_triples)(steps)
+            order = (open_pairs if order == 2 else open_triples)()
     for vs in order:
         if len(vs) == 2:
             a, b = vs if vs[0] < vs[1] else vs[::-1]
@@ -622,33 +635,35 @@ def is_k_rainbow(
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")
     colors = _ranked(coloring.colors)
-    bad = _first_bad_set(g, colors, k, len(set(colors)))
+    bad = _first_bad_set(step_table(g, colors), k, len(set(colors)))
     return Verdict(bad is None, bad)
 
 
 def partial_failure(
-    g: Graph,
-    colors: Sequence[Optional[int]],
+    steps: list[list[tuple[int, int]]],
     order: Iterable[tuple[int, ...]],
     palette: int,
 ) -> Optional[tuple[int, ...]]:
-    """Optimistic check for a partially colored graph.  Returns the first
-    set of ``order`` (pairs and triples, in the one scan ``is_k_rainbow``
-    runs) that no completion of ``colors`` with at most ``palette``
-    colors can give a rainbow tree, or None if no set is ruled out.
+    """Optimistic check for a partially colored graph, given by its step
+    table (``step_table``), where an uncolored edge is a step of bit 0.
+    Returns the first set of ``order`` (pairs and triples, in the one
+    scan ``is_k_rainbow`` runs) that no completion of the coloring with
+    at most ``palette`` colors can give a rainbow tree, or None if no set
+    is ruled out.  The solver keeps one table per palette and updates it
+    in place as it colors and uncolors edges; the check only reads it.
 
     A rainbow tree has at most min(palette, n - 1) edges, one color
     each, and holds edge-disjoint paths from one center to its
     terminals: one path for a pair, three (one may be empty) for a
     triple.  So a set is ruled out when no center has such paths whose
     colored edges bear pairwise-disjoint color sets, none with a repeat,
-    and whose lengths sum to at most that cap; an edge with color None
-    counts as one edge of a color of its own.  A palette of at least
+    and whose lengths sum to at most that cap; an uncolored edge counts
+    as one edge of a color of its own.  A palette of at least
     n - 1 never binds, since every tree has at most n - 1 edges, and the
     check is then the one on the total coloring that gives each None
     edge a new color.  The families
     the search keeps for a partial coloring need not be antichains: a
     longer path may bear fewer colors.
     """
-    cap = min(palette, g.n - 1)
-    return _first_bad_set(g, colors, order, cap)
+    cap = min(palette, len(steps) - 1)
+    return _first_bad_set(steps, order, cap)

@@ -15,7 +15,10 @@ lengths sum to at most that; the check keeps, for each such path, a path
 with a subset of its colors and no more edges, so it never cuts a prefix
 that has a valid completion.  The first palette admitting a valid
 coloring is the exact index, because all smaller palettes were
-exhausted.
+exhausted.  The checks read the prefix as the reach searches' step
+table (``step_table``), kept in place: each palette's search starts
+from the all-uncolored table, and each node writes its edge's two steps
+as it colors the edge and writes them back to bit 0 as it leaves it.
 
 Graph symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks
 and Roy, KR 1996) over the coset representatives that
@@ -42,7 +45,7 @@ from math import ceil
 from typing import Optional
 
 from .graphs import Graph, as_int, automorphism_transversal, bfs, is_connected
-from .rainbow import EdgeColoring, as_k, partial_failure
+from .rainbow import EdgeColoring, as_k, partial_failure, step_table
 from .steiner import diameter, sdiam3
 
 DEFAULT_BUDGET = 10**8
@@ -140,6 +143,11 @@ def _search_palette(
     palette that gives every set of ``set_order`` (the k-sets) a rainbow
     tree; each check is one ``partial_failure`` scan, with trees capped
     at the palette.
+    The checks read one step table (``step_table``), built here with
+    every edge uncolored and kept in place: slots[e] holds the two
+    entries of edge e, as (row, index, other endpoint), and a node that
+    gives e color t stores the step (1 << t, w) in both, and (0, w) as it
+    leaves e, so a node costs two stores, not a new table.
     Each position map of ``symmetries`` keeps how far the canonical
     relabelling of its image has compared equal to the assigned prefix,
     and its relabelling so far; a child whose image compares smaller is
@@ -150,6 +158,11 @@ def _search_palette(
     """
     m = g.m
     colors: list[Optional[int]] = [None] * m
+    steps = step_table(g, colors)
+    slots: list[list] = [[] for _ in range(m)]
+    for v, inc in enumerate(g.incidence):
+        for i, (f, w) in enumerate(inc):
+            slots[f].append((steps[v], i, w))
     x = [0] * m  # colors by search position; x[p] is set once p is assigned
     # Checking at every node instead cuts the 36 standard solves of the
     # benchmark from 2,282 to 1,357 nodes with the same values and
@@ -189,6 +202,7 @@ def _search_palette(
     def dfs(pos: int, maxc: int, active: list[int]) -> bool:
         nonlocal culprit
         e = order[pos]
+        (row_a, i_a, w_a), (row_b, i_b, w_b) = slots[e]
         depth = pos + 1
         limit = min(maxc + 1, palette - 1)
         saved = [(j, at[j], len(labelled[j])) for j in active]
@@ -205,11 +219,13 @@ def _search_palette(
             still: list[int] = []
             if not leads(pos, active, still):
                 continue
+            row_a[i_a] = (1 << t, w_a)
+            row_b[i_b] = (1 << t, w_b)
             if depth == m or depth % stride == 0:
                 # The set that failed last usually fails again, and
                 # then its reach rows settle the check.
                 checks = set_order if culprit is None else chain((culprit,), set_order)
-                bad = culprit = partial_failure(g, colors, checks, palette)
+                bad = culprit = partial_failure(steps, checks, palette)
             else:
                 bad = None
             if bad is None:
@@ -218,6 +234,8 @@ def _search_palette(
                 if dfs(pos + 1, max(maxc, t), still):
                     return True
         colors[e] = None
+        row_a[i_a] = (0, w_a)
+        row_b[i_b] = (0, w_b)
         return False
 
     if dfs(0, -1, list(range(len(symmetries)))):

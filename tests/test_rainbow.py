@@ -37,6 +37,7 @@ from rainbowindex.rainbow import (
     coloring_from_json_dict,
     coloring_to_json_dict,
     partial_failure,
+    step_table,
 )
 
 from oracles import (
@@ -122,7 +123,7 @@ def complete_row(g, colors, source):
     """The complete reach row of source, as the solver's checks read it:
     each kept mask with its length."""
     fams, level = _start(g.n, source)
-    _grow(g, colors, fams, level, g.n - 1)
+    _grow(step_table(g, colors), fams, level, g.n - 1)
     return fams
 
 
@@ -163,6 +164,72 @@ def test_relaxed_reach_matches_path_enumeration():
         fams = complete_row(g, colors, 0)
         for t in range(301):
             assert list(fams[t]) == [sum(1 << c for c in colors[:t] if c is not None)]
+
+
+def colors_grow(g, colors, fams, level, cap, target=None):
+    """The reach search as it read colors before the step table: colors[e]
+    is the color of edge e, or None for a color unique to that edge."""
+    incidence = g.incidence
+    v, mask = level[0]
+    depth = fams[v][mask]
+    while level:
+        if depth == cap:
+            return []
+        depth += 1
+        nxt = []
+        for v, mask in level:
+            for e, w in incidence[v]:
+                c = colors[e]
+                if c is None:
+                    nm = mask
+                else:
+                    bit = 1 << c
+                    if mask & bit:
+                        continue
+                    nm = mask | bit
+                fw = fams[w]
+                for x in fw:
+                    if x & nm == x:
+                        break
+                else:
+                    fw[nm] = depth
+                    nxt.append((w, nm))
+        level = nxt
+        if target is not None and fams[target]:
+            break
+    return level
+
+
+def test_step_table_grow_matches_the_colors_kernel():
+    # On partial colorings with raw color ids up to 100, for every cap
+    # and source, with and without a target, _grow on the step table
+    # keeps the same masks with the same lengths in the same insertion
+    # order as the colors-based search, and stops before the same level;
+    # a row stopped at a target and run on to the end agrees too.
+    rng = random.Random(149)
+    stopped = several = wide = 0
+    for _ in range(30):
+        n = rng.randrange(3, 10)
+        g = random_connected_graph(rng, n, rng.randrange(2 * n))
+        palette = rng.choice((3, 8, 101))
+        colors = [None if rng.random() < 0.3 else rng.randrange(palette) for _ in range(g.m)]
+        steps = step_table(g, colors)
+        for cap, source in product(range(1, n), range(n)):
+            for target in (None, rng.randrange(n)):
+                want, level = _start(n, source)
+                want_level = colors_grow(g, colors, want, level, cap, target)
+                got, level = _start(n, source)
+                got_level = _grow(steps, got, level, cap, target)
+                assert got_level == want_level
+                assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
+                if got_level:
+                    stopped += 1
+                    assert (colors_grow(g, colors, want, want_level, cap)
+                            == _grow(steps, got, got_level, cap) == [])
+                    assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
+                several += any(len(f) > 1 for f in got)
+                wide += any(m.bit_length() > 64 for f in got for m in f)
+    assert stopped > 0 and several > 0 and wide > 0
 
 
 def test_reach_errors():
@@ -229,7 +296,7 @@ def test_rainbow_tree_where_paths_meet_away_from_center():
         assert is_rainbow_tree_through(g, c, s, tree)
     # the second instance's paths, walked on the rows its witness read
     colors = _ranked(c.colors)
-    rows, _, triple = _reach_rows(g, colors, len(set(colors)))
+    rows, _, triple = _reach_rows(step_table(g, colors), len(set(colors)))
     center, *masks = triple(*s)
     paths = [list(_path_edges(g, colors, rows[v], center, m)) for v, m in zip(s, masks)]
     assert sum(map(len, paths)) > len(tree)
@@ -459,8 +526,9 @@ def test_partial_failure_matches_materialized_fresh_colors():
             for _ in range(g.m)
         ]
         full = materialize_fresh(colors, palette)
+        steps = step_table(g, colors)
         for k in (2, 3):
-            relaxed = partial_failure(g, colors, combinations(range(g.n), k), g.n - 1)
+            relaxed = partial_failure(steps, combinations(range(g.n), k), g.n - 1)
             exact = is_k_rainbow(g, full, k)
             assert (relaxed is None) == exact.ok
 
@@ -478,17 +546,18 @@ def test_partial_failure_returns_first_failing_triple_of_order():
             for _ in range(g.m)
         ]
         full = materialize_fresh(colors, palette)
+        steps = step_table(g, colors)
         order = list(combinations(range(g.n), 3))
         rng.shuffle(order)
         want = next(
             (s for s in order if not has_rainbow_tree_brute(g, full, s)), None
         )
-        assert partial_failure(g, colors, order, g.n - 1) == want
+        assert partial_failure(steps, order, g.n - 1) == want
         failures += want is not None
         pairs = list(combinations(range(g.n), 2))
         pair_rng.shuffle(pairs)
         want = next((p for p in pairs if not path_color_sets(g, full, *p)), None)
-        assert partial_failure(g, colors, pairs, g.n - 1) == want
+        assert partial_failure(steps, pairs, g.n - 1) == want
         pair_failures += want is not None
         # Under a binding cap a set still fails or passes on its own, so
         # a shuffled order returns its first set that a one-set check
@@ -496,11 +565,11 @@ def test_partial_failure_returns_first_failing_triple_of_order():
         for cap in range(1, g.n - 1):
             for sets in (order, pairs):
                 want = next(
-                    (s for s in sets if partial_failure(g, colors, [s], cap) == s), None
+                    (s for s in sets if partial_failure(steps, [s], cap) == s), None
                 )
-                assert partial_failure(g, colors, sets, cap) == want
+                assert partial_failure(steps, sets, cap) == want
                 # count the sets that only the cap rules out
-                if want is not None and partial_failure(g, colors, [want], g.n - 1) is None:
+                if want is not None and partial_failure(steps, [want], g.n - 1) is None:
                     binding += 1
     assert failures > 5 and pair_failures > 5 and binding > 20
 
@@ -515,7 +584,7 @@ def test_partial_failure_on_mixed_orders():
     # the row of 3 stops once 4 has a mask, before it reaches 0, 1 or 2
     g = build_graph(5, [(0, 1), (1, 2), (2, 4), (4, 3)])
     for pair in ((3, 4), (4, 3)):
-        assert partial_failure(g, [0, 1, 2, 3], [pair, (0, 1, 3)], g.n - 1) is None
+        assert partial_failure(step_table(g, [0, 1, 2, 3]), [pair, (0, 1, 3)], g.n - 1) is None
     failures = pair_failures = 0
     for _ in range(60):
         n = rng.randrange(3, 9)
@@ -526,6 +595,7 @@ def test_partial_failure_on_mixed_orders():
             for _ in range(g.m)
         ]
         full = materialize_fresh(colors, palette)
+        steps = step_table(g, colors)
         covered = covered_triples(g, full)
         pairs = [p if rng.random() < 0.5 else p[::-1] for p in combinations(range(n), 2)]
         triples = list(combinations(range(n), 3))
@@ -541,7 +611,7 @@ def test_partial_failure_on_mixed_orders():
                 ),
                 None,
             )
-            assert partial_failure(g, colors, order, g.n - 1) == want
+            assert partial_failure(steps, order, g.n - 1) == want
             failures += want is not None
             pair_failures += want is not None and len(want) == 2
     assert failures > 10 and pair_failures > 5
@@ -568,7 +638,8 @@ def test_capped_partial_failures_hold_in_every_completion(case):
     # rainbow path or tree in any completion with colors from that palette
     g, colors, palette = case
     sets = list(combinations(range(g.n), 2)) + list(combinations(range(g.n), 3))
-    ruled_out = [s for s in sets if partial_failure(g, colors, [s], palette) == s]
+    steps = step_table(g, colors)
+    ruled_out = [s for s in sets if partial_failure(steps, [s], palette) == s]
     holes = [e for e, c in enumerate(colors) if c is None]
     for fill in product(range(palette), repeat=len(holes)) if ruled_out else ():
         full = list(colors)
@@ -671,7 +742,7 @@ def test_first_mask_filter_is_sound_on_multi_mask_families():
 
 def first_rows(g, colors):
     """The first row (``_first_row``) of every vertex, on raw colors."""
-    steps = [[(1 << colors[e], w) for e, w in inc] for inc in g.incidence]
+    steps = step_table(g, colors)
     return [_first_row(steps, g.n, v) for v in range(g.n)]
 
 
@@ -788,7 +859,7 @@ def test_first_row_stop_keeps_the_row():
         n = rng.randrange(2, 14)
         g = random_connected_graph(rng, n, rng.randrange(3 * n))
         c = random_coloring(rng, g.m, rng.choice((2, 3, 5, 8, 70)))
-        steps = [[(1 << c.colors[e], w) for e, w in inc] for inc in g.incidence]
+        steps = step_table(g, c.colors)
         for s in range(n):
             assert _first_row(steps, n, s) == full_row(steps, n, s)
 
@@ -796,10 +867,11 @@ def test_first_row_stop_keeps_the_row():
 def grown_row(g, colors, source, targets, cap):
     """The reach row of source grown until each of targets holds a mask,
     and whether its search is unfinished there."""
+    steps = step_table(g, colors)
     fams, level = _start(g.n, source)
     for t in targets:
         if level and not fams[t]:
-            level = _grow(g, colors, fams, level, cap, t)
+            level = _grow(steps, fams, level, cap, t)
     return fams, bool(level)
 
 
@@ -817,7 +889,10 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
     for _ in range(40):
         n = rng.randrange(4, 17)
         g = random_connected_graph(rng, n, rng.randrange(n // 2, 2 * n + 1))
-        colors = list(random_coloring(rng, g.m, rng.randrange(3, 9)).colors)
+        # ranks, as is_k_rainbow passes them: the k=3 verdict's filter
+        # reads cap - 1 as the highest color
+        colors = _ranked(random_coloring(rng, g.m, rng.randrange(3, 9)).colors)
+        steps = step_table(g, colors)
         triples = list(combinations(range(n), 3))
         cap = len(set(colors))  # a cap that never binds on a total coloring
         complete = [complete_row(g, colors, v) for v in range(n)]
@@ -828,9 +903,9 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
             return _tree_center(*(complete[v] for v in s), cap) is None
 
         want = next((t for t in triples if fails(t)), None)
-        assert _first_bad_set(g, colors, triples, cap) == want
-        assert _first_bad_set(g, colors, 3, cap) == want
-        assert _first_bad_set(g, colors, 2, cap) == next(
+        assert _first_bad_set(steps, triples, cap) == want
+        assert _first_bad_set(steps, 3, cap) == want
+        assert _first_bad_set(steps, 2, cap) == next(
             (p for p in combinations(range(n), 2) if fails(p)), None
         )
         seen["pass" if want is None else "head" if want[:2] == (0, 1) else "late"] += 1
@@ -847,7 +922,7 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
         rng.shuffle(pairs)
         rng.shuffle(triples)
         order = pairs + triples
-        assert _first_bad_set(g, colors, order, cap) == next(
+        assert _first_bad_set(steps, order, cap) == next(
             (s for s in order if fails(s)), None
         )
     assert min(seen.values()) > 0, seen

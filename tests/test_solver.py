@@ -24,7 +24,8 @@ from rainbowindex import (
     sdiam3,
     star,
 )
-from rainbowindex import steiner
+from rainbowindex import solver, steiner
+from rainbowindex.rainbow import step_table
 
 from oracles import covered_triples, path_color_sets, random_connected_graph, rx3_brute
 
@@ -337,6 +338,38 @@ def test_solver_outcomes_match_the_pinned_hash():
     assert sum(o[3] for o in outcomes) == 36  # all exact but the last
     assert outcomes[-1][2:7] == (None, False, 5, 21, 2_000)
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == SOLVES_PINNED
+
+
+def test_checks_read_the_table_kept_in_place(monkeypatch):
+    # Each palette's search updates one step table in place as it colors
+    # and uncolors edges.  At every check that table must equal the one
+    # built afresh from the colors assigned so far, uncolored edges being
+    # None.  The solver builds its table from its own colors list, which
+    # it then keeps up to date, so wrapping step_table finds that list.
+    built, calls = [], [0]
+
+    def build(g, colors):
+        steps = step_table(g, colors)
+        built.append((steps, g, colors))
+        return steps
+
+    def check(steps, order, palette):
+        table, g, colors = built[-1]
+        assert steps is table and steps == step_table(g, colors)
+        calls[0] += 1
+        return real(steps, order, palette)
+
+    real = solver.partial_failure
+    monkeypatch.setattr(solver, "step_table", build)
+    monkeypatch.setattr(solver, "partial_failure", check)
+    solves = [(g, k) for _, g in SOLVE_FAMILIES for k in (2, 3)]
+    solves.append((cartesian_product(cycle(5), path(2))[0], 3))
+    for g, k in solves:
+        calls[0] = 0
+        assert rx_exact(g, k, budget=20_000).exact and calls[0] > 0
+    calls[0] = 0
+    r = rx_exact(cartesian_product(cycle(7), path(2))[0], 3, budget=2_000)
+    assert not r.exact and (r.lower, r.upper) == (5, 21) and calls[0] > 0
 
 
 def test_k3_solve_runs_one_steiner_pass(monkeypatch):
