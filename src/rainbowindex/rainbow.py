@@ -64,10 +64,13 @@ reaches, and only the pairs it misses reach the store.  For k=3 a
 center x where the first-row masks of the three terminals are pairwise
 disjoint settles the triple.  The n - 2 head triples {0, 1, c} are
 tried that way one at a time, building the first row of c as each
-comes; the rest pass through the first-mask filter
-(``_first_mask_pairs``, ``_unsettled_triples``), which settles whole
-blocks of triples at once in numpy from the n first rows the head left
-built.  Only the sets they leave open reach the exact tests, in
+comes; the rest pass through the first-mask filter, in numpy, from the
+n first rows the head left built.  ``_first_mask_pairs`` turns the rows
+into one bit plane per color and, from those, into pair bitsets over
+64-center words, the busiest centers in the first word;
+``_unsettled_triples`` ANDs the first word over a block of triples in
+one fused pass and reads each later word only for the triples still
+open.  Only the sets they leave open reach the exact tests, in
 lexicographic order, so verdicts and first failing sets are unchanged,
 and exact reach rows are started only for those: a passing 8x8 grid
 starts none, at k=2 or k=3.  The k=3 tests run only when more than
@@ -430,9 +433,11 @@ def has_rainbow_tree(
 # Whole-graph verdicts
 # ---------------------------------------------------------------------------
 
-# Array elements in one numpy step of the first-mask filter: this
-# bounds its working memory (64 KB per uint64 array), never its result.
-_STEP_ELEMENTS = 1 << 13
+# Array elements in one numpy step of the first-mask filter: its
+# buffers hold this many uint64 words (256 KB), beside the n * n pair
+# words per 64 centers, and a step grows past it only to hold one
+# vertex's (n - 1) x (n - 1) square.  It bounds memory, never the result.
+_STEP_ELEMENTS = 1 << 15
 _WORD = (1 << 64) - 1
 
 
@@ -472,34 +477,55 @@ def _first_mask_pairs(first: list[list[int]], top: int) -> np.ndarray:
 
     first[v] is the first row of v (``_first_row``) on a total coloring
     whose highest color is ``top`` (a rank, so ``top + 1`` colors are in
-    use).  Each (vertex, center) entry becomes ``top + 1`` bits in uint64
-    words: the color mask of one rainbow path between them, or all ones
-    where the row has none (-1).  Bit x of ``pair[a, b]`` (n x n rows of
-    uint64 words) is set when the entries of a and b at x are disjoint.
+    use).  Each (vertex, center) entry is the color mask of one rainbow
+    path between them, or all ones where the row has none (-1).  The
+    result has one n x n uint64 matrix per 64 centers: for a < b, bit j
+    of ``pair[w, a, b]`` is set when the entries of a and b at the center
+    numbered 64 * w + j are disjoint.  Entries with a >= b are never
+    used (``_unsettled_triples`` masks them out), and most are left 0.
     All ones clashes with itself and with every nonempty mask, and only
     x's own entry is mask 0, so a missing path settles nothing: a center
-    set in all three pair bitsets of a triple has three real,
-    pairwise color-disjoint paths to it, and so a rainbow tree.
+    set in all three pair bitsets of a triple has three real, pairwise
+    color-disjoint paths to it, and so a rainbow tree.
+
+    The rows are converted once, with ``np.array`` when every mask fits
+    in an int64, else in words of 64 colors.  The bitsets are built color
+    by color: a plane per color holds, per vertex, the centers whose entry
+    has that color, so the entries of a and b clash at the centers where
+    the AND of their planes is set for some color.  The centers are
+    numbered busiest first, fewest colors over their n entries first,
+    so the first matrix settles most triples (``_unsettled_triples``).
     """
     import numpy as np
 
-    n = len(first)
-    bits = top + 1
-    empty = (1 << bits) - 1
-    flat = [m & empty for row in first for m in row]
-    words = [
-        np.array(flat if bits <= 64 else [m >> s & _WORD for m in flat], np.uint64)
-        .reshape(n, n)
-        for s in range(0, bits, 64)
-    ]
-    pair = np.zeros((n, n, 8 * -(-n // 64)), np.uint8)
-    step = max(1, _STEP_ELEMENTS // (n * n))
-    for a0 in range(0, n, step):
-        free = (words[0][a0 : a0 + step, None] & words[0]) == 0
-        for w in words[1:]:
-            free &= (w[a0 : a0 + step, None] & w) == 0
-        pair[a0 : a0 + step, :, : -(-n // 8)] = np.packbits(free, axis=-1)
-    return pair.view(np.uint64)
+    n, bits = len(first), top + 1
+    words = -(-n // 64)
+    if bits < 64:
+        masks = np.array(first, "<i8")  # -1 is all ones
+    else:
+        empty = (1 << bits) - 1
+        masks = np.array([[(m & empty) >> s & _WORD for s in range(0, bits, 64)]
+                          for row in first for m in row], "<u8")
+    # has[v, x, c]: the entry of v at center x holds color c
+    has = np.unpackbits(masks.view(np.uint8).reshape(n, n, -1), axis=-1, count=bits,
+                        bitorder="little")
+    if words > 1:  # within one word the order of centers is immaterial
+        has = has[:, np.argsort(np.add.reduce(has, axis=0, dtype=np.int32).sum(axis=1),
+                                 kind="stable")]
+    # planes[c, v, w]: bit j is set when the entry of v at center
+    # 64 * w + j holds color c; a center past n holds every color
+    held = np.ones((bits, n, 64 * words), np.uint8)
+    held[:, :, :n] = has.transpose(2, 0, 1)
+    planes = np.packbits(held, axis=-1, bitorder="little").view("<u8")
+    pair = np.zeros((words, n, n), np.uint64)
+    step = max(1, _STEP_ELEMENTS // (bits * n))
+    for free, plane in zip(pair, planes.transpose(2, 0, 1)):
+        for a0 in range(0, n, step):
+            rows = free[a0 : a0 + step, a0:]  # every b > a, and a few b <= a
+            np.bitwise_or.reduce(plane[:, a0 : a0 + step, None] & plane[:, None, a0:],
+                                 axis=0, out=rows)
+            np.invert(rows, out=rows)
+    return pair
 
 
 def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
@@ -510,27 +536,51 @@ def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
     masks of a, b and c at x pairwise disjoint: each is the color set of
     a real rainbow path to x, the three paths share no color, and so a
     settled triple has a rainbow tree.
-    That is pair[a, b] & pair[a, c] & pair[b, c] nonzero
-    (``_first_mask_pairs``), computed for a block of first vertices a and
-    all b < c above them at once.
+    That is pair[w, a, b] & pair[w, a, c] & pair[w, b, c] nonzero for
+    some word w (``_first_mask_pairs``).  A step takes a block of first
+    vertices a and, in one fused pass, ANDs word 0 over the square of
+    all b and c above them, keeps the zeros with a < b < c, and yields
+    them in order once each later word has dropped those it settles, so
+    a later word is read only for the triples still open.
     """
     import numpy as np
 
-    n = len(pair)
-    step = max(1, _STEP_ELEMENTS // (n * n))
-    upper = np.arange(n)[:, None] < np.arange(n)
-    for a0 in range(0, n - 2, step):
-        a1, lo = min(a0 + step, n - 2), a0 + 1
-        common = np.zeros((a1 - a0, n - lo, n - lo), np.uint64)
-        for w in range(pair.shape[2]):
-            pa = pair[a0:a1, lo:, w]
-            both = pa[:, None, :] & pair[lo:, lo:, w]
-            both &= pa[:, :, None]
-            common |= both
-        unsettled = (common == 0) & upper[a0:a1, lo:, None] & upper[lo:, lo:]
-        ab, c = np.divmod(np.flatnonzero(unsettled), n - lo)
-        a, b = np.divmod(ab, n - lo)
-        yield from zip((a + a0).tolist(), (b + lo).tolist(), (c + lo).tolist())
+    n = pair.shape[1]
+    first, later = pair[0], [p.ravel() for p in pair[1:]]
+    # one pair of buffers for every step: a fresh array per step would
+    # fault its pages in again
+    size = max(min(_STEP_ELEMENTS, (n - 2) * (n - 1) ** 2), (n - 1) ** 2)
+    common, zero = np.empty(size, np.uint64), np.empty(size, bool)
+    upper = np.arange(n)[:, None] <= np.arange(n)
+    a0 = 0
+    while a0 < n - 2:
+        lo = a0 + 1
+        m = n - lo
+        step = min(max(1, _STEP_ELEMENTS // (m * m)), n - 2 - a0)
+        shape = (step, m, m)
+        pa = first[a0 : a0 + step, lo:]
+        both = np.bitwise_and(pa[:, :, None], pa[:, None, :],
+                              out=common[: step * m * m].reshape(shape))
+        both &= first[lo:, lo:]
+        unsettled = np.equal(both, 0, out=zero[: step * m * m].reshape(shape))
+        unsettled &= upper[1 : m + 1, :m]  # b < c
+        unsettled &= upper[:step, :m, None]  # a < b
+        i = np.flatnonzero(unsettled)
+        if i.size:
+            q = i // m
+            c = i - q * m + lo
+            a = q // m
+            b = q - a * m + lo
+            a += a0
+            if later:
+                ab, ac, bc = a * n + b, a * n + c, b * n + c
+                for w in later:
+                    keep = np.flatnonzero((w[ab] & w[ac] & w[bc]) == 0)
+                    ab, ac, bc = ab[keep], ac[keep], bc[keep]
+                a, b = np.divmod(ab, n)
+                c = bc % n
+            yield from zip(a.tolist(), b.tolist(), c.tolist())
+        a0 += step
 
 
 def _first_bad_set(

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -798,6 +799,84 @@ def test_first_row_filter_settles_only_covered_triples():
                 settled += 1
         wide += max(c.colors) >= 64
     assert settled > 0 and wide > 0
+
+
+def blockwise_first_mask_pairs(first, top):
+    """The pair bitsets as built before the fused kernel: for a block of
+    first vertices at a time, every entry's color mask ANDed in words of
+    64 colors, centers packed in vertex order into (n, n, words) uint64."""
+    n = len(first)
+    bits = top + 1
+    empty = (1 << bits) - 1
+    flat = [m & empty for row in first for m in row]
+    words = [
+        np.array(flat if bits <= 64 else [m >> s & (1 << 64) - 1 for m in flat], np.uint64)
+        .reshape(n, n)
+        for s in range(0, bits, 64)
+    ]
+    pair = np.zeros((n, n, 8 * -(-n // 64)), np.uint8)
+    step = max(1, (1 << 13) // (n * n))
+    for a0 in range(0, n, step):
+        free = (words[0][a0 : a0 + step, None] & words[0]) == 0
+        for w in words[1:]:
+            free &= (w[a0 : a0 + step, None] & w) == 0
+        pair[a0 : a0 + step, :, : -(-n // 8)] = np.packbits(free, axis=-1)
+    return pair.view(np.uint64)
+
+
+def blockwise_unsettled_triples(pair):
+    """The open triples as found before the fused kernel: for a block of
+    first vertices, every center word ANDed over the whole square of b
+    and c, then masked to a < b < c."""
+    n = len(pair)
+    step = max(1, (1 << 13) // (n * n))
+    upper = np.arange(n)[:, None] < np.arange(n)
+    for a0 in range(0, n - 2, step):
+        a1, lo = min(a0 + step, n - 2), a0 + 1
+        common = np.zeros((a1 - a0, n - lo, n - lo), np.uint64)
+        for w in range(pair.shape[2]):
+            pa = pair[a0:a1, lo:, w]
+            both = pa[:, None, :] & pair[lo:, lo:, w]
+            both &= pa[:, :, None]
+            common |= both
+        unsettled = (common == 0) & upper[a0:a1, lo:, None] & upper[lo:, lo:]
+        ab, c = np.divmod(np.flatnonzero(unsettled), n - lo)
+        a, b = np.divmod(ab, n - lo)
+        yield from zip((a + a0).tolist(), (b + lo).tolist(), (c + lo).tolist())
+
+
+def random_first_rows(rng, n, palette):
+    """Rows shaped like first rows (``_first_row``): mask 0 on the
+    diagonal, -1 (no path) now and then, else a random nonempty mask of
+    colors below palette."""
+    missing = rng.choice((0.0, 0.05, 0.3))
+    size = max(1, palette // rng.choice((2, 4, 8)))
+    return [[0 if v == x else -1 if rng.random() < missing
+             else sum(1 << c for c in rng.sample(range(palette), rng.randrange(1, size + 1)))
+             for x in range(n)]
+            for v in range(n)]
+
+
+def test_fused_filter_matches_the_blockwise_kernel():
+    # On seeded rows of 5 to 140 vertices (1-3 words of centers) and 2 to
+    # 130 colors (1-3 words of colors), with and without missing paths,
+    # the fused filter leaves open the same triples in the same order as
+    # the blockwise kernel it replaced, and a consumer that stops early
+    # sees the same prefix
+    rng = random.Random(151)
+    sizes = [(5, 2), (9, 3), (12, 130), (30, 8), (40, 64), (64, 63), (64, 65),
+             (65, 4), (70, 30), (100, 12), (128, 100), (129, 2), (129, 129), (140, 130)]
+    mixed = deep = 0
+    for n, palette in sizes:
+        first = random_first_rows(rng, n, palette)
+        want = list(blockwise_unsettled_triples(blockwise_first_mask_pairs(first, palette - 1)))
+        got = _unsettled_triples(_first_mask_pairs(first, palette - 1))
+        stop = rng.randrange(len(want) + 1)
+        assert list(islice(got, stop)) == want[:stop]
+        assert list(got) == want[stop:]
+        mixed += 0 < len(want) < comb(n, 3)
+        deep += n > 64 and 0 < len(want) < comb(n, 3)
+    assert mixed >= 8 and deep >= 4
 
 
 def test_passing_grid_verdict_starts_no_reach_row(monkeypatch):

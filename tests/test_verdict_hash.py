@@ -4,7 +4,9 @@ A seeded pool of colorings on both sides of the first-mask filter's size
 gate (constructions, their recolorings in their own vertex order and
 renamed, and G(n, p) colorings with 4 to 100 colors) goes through
 ``is_k_rainbow``, and the (ok, failing) pairs hash to a pinned constant.
-A faster checker must give every verdict and failing set unchanged.
+A faster checker must give every verdict and failing set unchanged.  A
+second pool, pinned on its own, holds colorings on 65 to 130 vertices,
+where the filter holds more than one word of centers.
 """
 
 import hashlib
@@ -84,3 +86,42 @@ def test_k2_verdicts_match_the_pinned_hash():
     assert len(verdicts) == 550
     assert sum(ok for ok, _ in verdicts) == 438
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == PINNED_K2
+
+
+# sha256 of repr([(ok, failing), ...]) over wide_pool(random.Random(163))
+PINNED_WIDE = "566f648626274f0a7a3983573f8517d9a13ed2eca2f2b03789d5127a3e98e4ad"
+
+
+def wide_pool(rng):
+    """Colorings on 65 to 130 vertices, so the first-mask filter holds
+    two or three words of centers: grids, a Cartesian and a strong
+    product, each followed by recolorings in its own vertex order and
+    renamed."""
+    c5 = rx_exact(cycle(5), 3).witness
+    p2, p14, p33 = (EdgeColoring(tuple(range(n - 1)), n - 1) for n in (2, 14, 33))
+    reports = [grid_coloring(d) for d in ((5, 5, 3), (9, 9), (10, 10), (13, 10))]
+    reports += [cartesian_coloring(cycle(5), c5, path(14), p14),
+                strong_coloring(path(2), p2, path(33), p33)]
+    for report in reports:
+        g, c = report.derived_graph, report.coloring
+        yield g, c
+        for _ in range(6):
+            colors = list(c.colors)
+            e = rng.randrange(g.m)
+            colors[e] = (colors[e] + 1) % c.palette_size
+            bad = EdgeColoring(tuple(colors), c.palette_size)
+            yield g, bad
+            name = rng.sample(range(g.n), g.n)
+            yield build_graph(g.n, [(name[u], name[v]) for u, v in g.edges]), bad
+
+
+def test_k3_verdicts_past_one_word_match_the_pinned_hash():
+    verdicts, sizes = [], set()
+    for g, c in wide_pool(random.Random(163)):
+        v = is_k_rainbow(g, c, 3)
+        verdicts.append((v.ok, v.failing))
+        sizes.add(g.n)
+    assert len(verdicts) == 78 and min(sizes) > 64 and max(sizes) == 130
+    assert sum(ok for ok, _ in verdicts) == 14
+    assert sum(failing[:2] != (0, 1) for ok, failing in verdicts if not ok) == 42
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == PINNED_WIDE
