@@ -130,6 +130,34 @@ def _position_maps(g: Graph, order: list[int]) -> list[list[int]]:
     return maps
 
 
+# A position map still tied with the prefix: the map, how many positions
+# its relabelled image has compared equal, and that relabelling so far.
+Tied = tuple[list[int], int, dict[int, int]]
+
+
+def _still_tied(x: list[int], pos: int, tied: list[Tied]) -> Optional[list[Tied]]:
+    """Advance each tied map's comparison over the prefix x[0..pos].
+    None if an image is already smaller; otherwise the maps still tied,
+    in order, with their new comparisons.  An image that compares larger
+    drops out.  Leaves ``tied`` and its label maps unchanged."""
+    still = []
+    for rho, k, labels in tied:
+        while k <= pos and rho[k] <= pos:
+            c = x[rho[k]]
+            lab = labels.get(c)
+            if lab is None:
+                lab = len(labels)
+                labels = {**labels, c: lab}
+            if lab != x[k]:
+                if lab < x[k]:
+                    return None
+                break
+            k += 1
+        else:
+            still.append((rho, k, labels))
+    return still
+
+
 def _search_palette(
     g: Graph,
     palette: int,
@@ -148,10 +176,10 @@ def _search_palette(
     entries of edge e, as (row, index, other endpoint), and a node that
     gives e color t stores the step (1 << t, w) in both, and (0, w) as it
     leaves e, so a node costs two stores, not a new table.
-    Each position map of ``symmetries`` keeps how far the canonical
-    relabelling of its image has compared equal to the assigned prefix,
-    and its relabelling so far; a child whose image compares smaller is
-    cut, and a map whose image compares larger drops out of the subtree.
+    A node inherits its position, the highest color used above it and
+    the position maps of ``symmetries`` still tied with the prefix
+    (``_still_tied``); it writes and restores only the prefix: its
+    position's color and its edge's two step-table slots.
     Returns colors by edge index, or None if exhausted.  Raises
     BudgetExhausted instead of counting a node once ``counter`` has
     reached ``budget``, so an exhausted search reports exactly the budget.
@@ -171,53 +199,20 @@ def _search_palette(
     # 2 CPUs, Python 3.11).
     stride = max(1, ceil(m / 4))
     culprit: Optional[tuple[int, ...]] = None
-    # Per map: positions compared equal, color -> image label (-1: none
-    # yet), and label -> color.
-    at = [0] * len(symmetries)
-    label = [[-1] * palette for _ in symmetries]
-    labelled: list[list[int]] = [[] for _ in symmetries]
 
-    def leads(pos: int, active: list[int], still: list[int]) -> bool:
-        # Advance each active map's comparison over x[0..pos].  False if
-        # an image is already smaller; maps still tied go to ``still``.
-        for j in active:
-            rho, rel, inv = symmetries[j], label[j], labelled[j]
-            k = at[j]
-            while k <= pos and rho[k] <= pos:
-                c = x[rho[k]]
-                lab = rel[c]
-                if lab < 0:
-                    lab = rel[c] = len(inv)
-                    inv.append(c)
-                if lab != x[k]:
-                    if lab < x[k]:
-                        return False
-                    break
-                k += 1
-            else:
-                at[j] = k
-                still.append(j)
-        return True
-
-    def dfs(pos: int, maxc: int, active: list[int]) -> bool:
+    def dfs(pos: int, maxc: int, tied: list[Tied]) -> bool:
         nonlocal culprit
         e = order[pos]
         (row_a, i_a, w_a), (row_b, i_b, w_b) = slots[e]
         depth = pos + 1
         limit = min(maxc + 1, palette - 1)
-        saved = [(j, at[j], len(labelled[j])) for j in active]
         for t in range(limit + 1):
             if counter[0] == budget:
                 raise BudgetExhausted()
             counter[0] += 1
             colors[e] = x[pos] = t
-            for j, k, size in saved:  # undo the previous child's comparisons
-                at[j] = k
-                rel, inv = label[j], labelled[j]
-                while len(inv) > size:
-                    rel[inv.pop()] = -1
-            still: list[int] = []
-            if not leads(pos, active, still):
+            still = _still_tied(x, pos, tied)
+            if still is None:
                 continue
             row_a[i_a] = (1 << t, w_a)
             row_b[i_b] = (1 << t, w_b)
@@ -238,7 +233,7 @@ def _search_palette(
         row_b[i_b] = (0, w_b)
         return False
 
-    if dfs(0, -1, list(range(len(symmetries)))):
+    if dfs(0, -1, [(rho, 0, {}) for rho in symmetries]):
         assert None not in colors  # a successful leaf assigned every edge
         return colors
     return None

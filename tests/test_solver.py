@@ -251,6 +251,60 @@ def test_witness_is_the_first_valid_canonical_coloring(pair):
         assert coloring == res.witness
 
 
+def compare_from_start(x, pos, rho):
+    """Compare the first-appearance relabelling of the image of x[0..pos]
+    under position map rho with x itself, from position 0, on the
+    positions both determine: "smaller", "larger", or the positions
+    compared equal and the relabelling."""
+    labels, k = {}, 0
+    while k <= pos and rho[k] <= pos:
+        lab = labels.setdefault(x[rho[k]], len(labels))
+        if lab != x[k]:
+            return "smaller" if lab < x[k] else "larger"
+        k += 1
+    return k, labels
+
+
+# Edge count and position maps of a few graphs with many automorphisms.
+SYMMETRIC_MAPS = [
+    (g.m, solver._position_maps(g, bfs_edge_order(g)))
+    for g in (
+        complete(5), complete(6), cycle(7),
+        cartesian_product(cycle(4), path(2))[0], complete_bipartite(2, 4),
+    )
+]
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(
+    st.sampled_from(SYMMETRIC_MAPS),
+    st.integers(2, 5),
+    st.lists(st.integers(0, 4), min_size=15, max_size=15),
+)
+def test_lex_leader_step_matches_a_comparison_from_the_start(graph, palette, choices):
+    # Walk a random canonical prefix down the search, one position at a
+    # time, as the solver does.  At each step the tied maps carried from
+    # the parent must give what comparing every map afresh gives, and the
+    # parent's list and label maps must be left as they were.
+    m, maps = graph
+    x, maxc = [], -1
+    tied = [(rho, 0, {}) for rho in maps]
+    for pos, choice in enumerate(choices[:m]):
+        t = choice % (min(maxc + 1, palette - 1) + 1)
+        x.append(t)
+        maxc = max(maxc, t)
+        before = [(rho, k, dict(labels)) for rho, k, labels in tied]
+        still = solver._still_tied(x, pos, tied)
+        assert tied == before
+        results = [compare_from_start(x, pos, rho) for rho in maps]
+        if still is None:
+            assert "smaller" in results
+            return
+        assert "smaller" not in results
+        assert still == [(rho, *r) for rho, r in zip(maps, results) if r != "larger"]
+        tied = still
+
+
 def test_value_equals_steiner_bound_on_paths_and_grids():
     for n in (3, 4, 5):
         res = rx_exact(path(n), 3)
@@ -287,8 +341,10 @@ def test_search_node_counts_are_pinned(make, k, nodes):
         (lambda: cartesian_product(cycle(5), path(2))[0], 4, 16_415),
         (lambda: cartesian_product(path(3), path(4))[0], 5, 2_403),
         (lambda: cartesian_product(complete(3), complete(3))[0], 4, 1_891),
+        # 28 position maps, more than any other solve pinned here
+        (lambda: complete(8), 3, 13_486),
     ],
-    ids=["K6", "C4xP2", "P3xP3", "K7", "K2,6", "C4xC4", "C5xP2", "P3xP4", "K3xK3"],
+    ids=["K6", "C4xP2", "P3xP3", "K7", "K2,6", "C4xC4", "C5xP2", "P3xP4", "K3xK3", "K8"],
 )
 def test_capped_pruning_decides_hard_k3_cases(make, value, nodes):
     # Capping each check's trees at the palette decides the first three
