@@ -73,7 +73,15 @@ one fused pass and reads each later word only for the triples still
 open.  Only the sets they leave open reach the exact tests, in
 lexicographic order, so verdicts and first failing sets are unchanged,
 and exact reach rows are started only for those: a passing 8x8 grid
-starts none, at k=2 or k=3.  The k=3 tests run only when more than
+starts none, at k=2 or k=3.  A triple they leave open is tried once
+more before it starts or grows rows of its own, at the source s of
+each exact row already started (``_source_hit``): a row of s holds the
+masks of real rainbow paths from s, however far it is grown, so
+pairwise-disjoint masks at the three terminals are three color-disjoint
+paths from one center, a spider centred at s, and so a rainbow tree.
+The sources are tried last useful first, the one that settled the
+previous triple leading, and only triples that no started row settles
+reach the store's ``triple``.  The k=3 tests run only when more than
 n * n triples follow the head, since otherwise they would cost more
 than they settle.  The filter is the only numpy code here, and it
 imports numpy when it is first built, so k=2 verdicts, the solver's
@@ -294,7 +302,8 @@ def _tree_center(
     miss says the set has none only on complete rows.  On a total
     coloring a mask's length is its number of colors, so the lengths of
     disjoint masks sum to the size of their union, and a cap of at least
-    the number of colors never binds."""
+    the number of colors never binds.  This is the one disjointness test:
+    ``_source_hit`` runs it on one-center rows."""
     for x, (fax, fbx, fcx) in enumerate(zip(fa, fb, fc)):
         for ma in fax:
             for mb in fbx:
@@ -352,7 +361,10 @@ def _reach_rows(
     on the three rows made ready, else, if any of them is unfinished, the
     hit on the finished rows, else None.  A hit is a rainbow tree however
     far its rows are grown, and None comes only from complete rows, so it
-    means the set has no rainbow tree of at most ``cap`` edges.
+    means the set has no rainbow tree of at most ``cap`` edges.  Callers
+    may read ``rows`` (the k=3 verdict tries open triples at the sources
+    of the started rows, ``_source_hit``), but only row, ready and
+    triple start or grow them.
     """
     n = len(steps)
     rows: list[Optional[list[dict[int, int]]]] = [None] * n
@@ -583,6 +595,47 @@ def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
         a0 += step
 
 
+def _source_hit(
+    rows: list[Optional[list[dict[int, int]]]],
+    sources: list[int],
+    t: tuple[int, int, int],
+    cap: int,
+) -> bool:
+    """Whether the row of some source s in ``sources`` (started rows of
+    the store ``rows``) holds pairwise-disjoint masks at the three
+    vertices of t: ``_tree_center`` on rows of the one center s.  A row
+    of s holds the masks of real rainbow paths from s, however far it is
+    grown, so three disjoint ones are a rainbow tree centred at s.  The
+    sources are tried in order, and the one that hits moves to the
+    front."""
+    a, b, c = t
+    for i, s in enumerate(sources):
+        fams = rows[s]
+        if _tree_center((fams[a],), (fams[b],), (fams[c],), cap) is not None:
+            if i:
+                sources.insert(0, sources.pop(i))
+            return True
+    return False
+
+
+def _open_at_sources(
+    triples: Iterator[tuple[int, int, int]],
+    rows: list[Optional[list[dict[int, int]]]],
+    cap: int,
+) -> Iterator[tuple[int, int, int]]:
+    """The triples of ``triples``, in order, that no started row of the
+    store ``rows`` settles (``_source_hit``).  Its consumer makes the rows
+    of each triple it is given ready before it asks for the next, so
+    those rows then join the sources, at the end; a source moves to the
+    front when it settles a triple, so the sources are tried the most
+    recently useful first."""
+    sources: list[int] = []
+    for t in triples:
+        if not _source_hit(rows, sources, t, cap):
+            yield t
+            sources.extend(v for v in t if v not in sources)
+
+
 def _first_bad_set(
     steps: list[list[tuple[int, int]]],
     order: int | Iterable[tuple[int, ...]],
@@ -614,14 +667,19 @@ def _first_bad_set(
     first-row masks; so a coloring that fails among them starts only
     the reach rows it needs.  The head leaves all n first rows built,
     which is all that the first-mask filter needs: the rest of the
-    triples pass through ``_unsettled_triples``.  Only the sets left
-    open reach the loop, still in lexicographic order, and first rows
-    settle only sets that have a rainbow tree, so verdicts and first
-    failing sets are those of the plain loop; partial colorings and
-    other orders never meet them.
+    triples pass through ``_unsettled_triples``.  A triple still open,
+    head or not, is tried at the sources of the rows already started
+    (``_source_hit``), last useful first, and reaches the loop only when
+    none of them settles it: the row of s holds masks of real rainbow
+    paths from s, so pairwise-disjoint masks at a, b and c are a rainbow
+    tree centred at s.  Only the sets left open reach the loop, still in
+    lexicographic order, and first rows and started rows settle only
+    sets that have a rainbow tree, so verdicts and first failing sets
+    are those of the plain loop; partial colorings, other orders and
+    scans of at most n * n triples past the head never meet them.
     """
     n = len(steps)
-    _, row, triple = _reach_rows(steps, cap)
+    rows, row, triple = _reach_rows(steps, cap)
 
     def open_pairs() -> Iterator[tuple[int, int]]:
         for a in range(n - 1):
@@ -645,10 +703,12 @@ def _first_bad_set(
         yield from dropwhile(lambda t: t[:2] == (0, 1), _unsettled_triples(pair))
 
     if isinstance(order, int):
-        if order == 3 and comb(n, 3) - (n - 2) <= n * n:
+        if order == 2:
+            order = open_pairs()
+        elif comb(n, 3) - (n - 2) <= n * n:
             order = combinations(range(n), 3)
         else:
-            order = (open_pairs if order == 2 else open_triples)()
+            order = _open_at_sources(open_triples(), rows, cap)
     for vs in order:
         if len(vs) == 2:
             a, b = vs if vs[0] < vs[1] else vs[::-1]

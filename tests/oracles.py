@@ -95,8 +95,33 @@ def _edges_connected(g: Graph, subset, verts) -> bool:
 
 
 def has_rainbow_tree_brute(g: Graph, coloring: EdgeColoring, terminals) -> bool:
-    s = tuple(sorted(terminals))
-    return s in covered_triples(g, coloring)
+    """True iff some tree of g with pairwise distinct edge colors contains
+    the 3-set.  In a tree through a, b and c, the a-b path P and the path
+    from c to the first vertex of P it meets share only that vertex, and
+    the two are such a tree whenever they use no color twice; so the
+    search walks the simple rainbow a-b paths depth first and, on each,
+    looks for such a path from c, stopping at the first it finds."""
+    a, b, c = sorted(terminals)
+    colors = coloring.colors
+
+    def paths(v, seen, used):
+        if v == b:
+            yield seen, used
+            return
+        for e, w in g.incidence[v]:
+            if w not in seen and colors[e] not in used:
+                yield from paths(w, seen | {w}, used | {colors[e]})
+
+    def joins(v, on, seen, used):
+        if v in on:
+            return True
+        return any(
+            w not in seen and colors[e] not in used
+            and joins(w, on, seen | {w}, used | {colors[e]})
+            for e, w in g.incidence[v]
+        )
+
+    return any(joins(c, on, {c}, used) for on, used in paths(a, {a}, frozenset()))
 
 
 def path_color_sets(

@@ -12,6 +12,7 @@ from rainbowindex import (
     Verdict,
     build_graph,
     cartesian_coloring,
+    cartesian_product,
     complete,
     cycle,
     find_rainbow_tree,
@@ -49,6 +50,7 @@ from oracles import (
     random_coloring,
     random_connected_graph,
 )
+from test_verdict_hash import gnp, wide_pool
 
 
 def masks_to_sets(masks):
@@ -914,6 +916,92 @@ def test_passing_k2_verdicts_start_no_reach_row(monkeypatch):
     colors[0] = (colors[0] + 1) % c.palette_size
     verdict = is_k_rainbow(g, EdgeColoring(tuple(colors), c.palette_size), 2)
     assert verdict == Verdict(False, (0, 16)) and started == [0]
+
+
+def test_started_sources_settle_only_triples_with_rainbow_trees(monkeypatch):
+    # The total k=3 scan past the filter's size gate tries each open
+    # triple at the sources of the rows already started (_source_hit)
+    # before the store's triple test.  On seeded colorings of 10-16
+    # vertices with 3 to 70 colors, passing and failing, and of trees on
+    # 66-70 vertices with more than 64 distinct colors plus chords (masks
+    # are color ranks, so wider masks need more than 64 edges, and on 16
+    # vertices those would make every complete row hold nearly every
+    # path), the verdict and failing set are those of the plain
+    # lexicographic scan, and every triple a started row settles has a
+    # rainbow tree by the brute oracle
+    settled = []
+    source_hit = rainbow._source_hit
+
+    def spy(rows, sources, t, cap):
+        hit = source_hit(rows, sources, t, cap)
+        if hit:
+            settled.append(t)
+        return hit
+
+    monkeypatch.setattr(rainbow, "_source_hit", spy)
+    rng = random.Random(179)
+    seen = {"pass": 0, "fail": 0, "settled": 0, "settled on failing": 0, "wide": 0}
+    for i in range(62):
+        if i < 60:
+            n = rng.randrange(10, 17)
+            g = random_connected_graph(rng, n, rng.randrange(n // 2, 2 * n))
+            c = random_coloring(rng, g.m, rng.randrange(3, 71 if i % 2 else 9))
+        else:
+            n = rng.randrange(66, 71)
+            g = random_connected_graph(rng, n, rng.randrange(4, 12))
+            palette = rng.randrange(n - 1, 80)
+            colors = rng.sample(range(palette), n - 1)  # the spanning tree's edges
+            colors += [rng.randrange(palette) for _ in range(g.m - n + 1)]
+            c = EdgeColoring(tuple(colors), palette)
+        ranked = _ranked(c.colors)
+        cap = len(set(ranked))
+        want = _first_bad_set(step_table(g, ranked), combinations(range(n), 3), cap)
+        settled.clear()
+        assert is_k_rainbow(g, c, 3) == Verdict(want is None, want)
+        assert all(has_rainbow_tree_brute(g, c, t) for t in settled)
+        seen["pass" if want is None else "fail"] += 1
+        seen["settled"] += len(settled)
+        if want is not None:
+            seen["settled on failing"] += len(settled)
+        if cap > 64:
+            seen["wide"] += len(settled)
+    assert min(seen.values()) > 0, seen
+
+
+def test_started_sources_cut_the_rows_a_verdict_starts(monkeypatch):
+    # rows started (rainbow._start calls) before -> after open triples
+    # were tried at the sources of the rows already started
+    started = []
+    start = rainbow._start
+    monkeypatch.setattr(rainbow, "_start", lambda n, v: started.append(v) or start(n, v))
+
+    def verdict_and_rows(g, c):
+        started.clear()
+        return is_k_rainbow(g, c, 3), len(started)
+
+    # the recolored P2xP33 (66 vertices) in its own and renamed vertex
+    # order, the last two colorings of the wide verdict-hash pool:
+    # 64 -> 41 and 64 -> 60
+    *_, own, renamed = wide_pool(random.Random(163))
+    assert verdict_and_rows(*own) == (Verdict(True), 41)
+    assert verdict_and_rows(*renamed) == (Verdict(True), 60)
+    # G(n, p) colorings drawn as the benchmark's verify-mixed draws them
+    for seed, verdict, rows in (
+        (12, Verdict(True), 13),  # 23 before
+        (35, Verdict(False, (3, 4, 12)), 8),  # 23
+        (8, Verdict(False, (9, 11, 13)), 14),  # 19
+        (49, Verdict(False, (0, 1, 6)), 4),  # 5, failing in the head
+    ):
+        rng = random.Random(seed)
+        g = gnp(rng, rng.randint(16, 24), rng.uniform(0.18, 0.30))
+        palette = rng.randint(6, 10)
+        c = EdgeColoring(tuple(rng.randrange(palette) for _ in range(g.m)), palette)
+        assert verdict_and_rows(g, c) == (verdict, rows)
+    # the solver's partial checks never meet the test: a C5xP2 solve
+    # starts exactly the rows it did before
+    started.clear()
+    res = rx_exact(cartesian_product(cycle(5), path(2))[0], 3)
+    assert res.nodes_explored == 16_415 and len(started) == 41_347
 
 
 def test_first_row_stop_keeps_the_row():
