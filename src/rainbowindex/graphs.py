@@ -176,18 +176,27 @@ def automorphism_transversal(g: Graph) -> list[list[list[int]]]:
         # Could w map to x, given image[0..w-1]?
         return cell[x] == cell[w] and all(dist[w][u] == dist[x][image[u]] for u in range(w))
 
-    def place(w: int) -> bool:
-        # Extend image[0..w-1] to an automorphism; image[w:] is scratch.
-        if w == n:
-            return True
-        for x in range(n):
-            if not used[x] and fits(w, x):
+    def place(start: int) -> bool:
+        # Extend image[0..start-1] to an automorphism; image[start:] is
+        # scratch.  Backtracking with the images themselves as the stack:
+        # w is the vertex being placed and x its next candidate, so the
+        # candidates are tried in increasing order at every depth.
+        w, x = start, 0
+        while w < n:
+            while x < n and (used[x] or not fits(w, x)):
+                x += 1
+            if x < n:
                 image[w] = x
                 used[x] = True
-                if place(w + 1):
-                    return True
+                w, x = w + 1, 0
+            elif w == start:
+                return False
+            else:
+                w -= 1
+                x = image[w]
                 used[x] = False
-        return False
+                x += 1
+        return True
 
     levels: list[list[list[int]]] = []
     for i in range(n):

@@ -16,9 +16,9 @@ an edge appears at most once in a path, and two paths sharing such an
 edge still form an all-distinct-colors union.  The exact solver uses
 this for its optimistic partial-coloring checks, with every tree capped
 at its palette (``partial_failure``), on one table per palette that it
-updates in place.  The checker and the solver share one scan, for pairs
-(k=2) and triples (k=3) alike: the first set of an order with no
-rainbow tree.
+updates in place.  The checker and the solver share one scan loop
+(``_first_bad_set``), for pairs (k=2) and triples (k=3) alike: the
+first set of an explicit order with no rainbow tree.
 
 The reach search runs by path length, one edge per step, a step of bit
 0 adding nothing: all paths of p edges before any of p + 1, and none
@@ -54,37 +54,38 @@ hold.  Only when that fails are the rows finished and the triple tried
 once more, so only a failure on complete rows says the set has no
 rainbow tree.
 
-In front of the scans of ``is_k_rainbow``, for k=2 and k=3 alike, sit
-cheap settling tests that need only *some* rainbow path per (vertex,
-center) entry, not the antichain.  A first row (``_first_row``) is a
-level-order search that keeps one state per vertex, so each of its masks
-is the color set of one real rainbow path.  For k=2 that settles the
-pair: the first row of each a settles every pair (a, b), b > a, that it
-reaches, and only the pairs it misses reach the store.  For k=3 a
-center x where the first-row masks of the three terminals are pairwise
-disjoint settles the triple.  The n - 2 head triples {0, 1, c} are
-tried that way one at a time, building the first row of c as each
-comes; the rest pass through the first-mask filter, in numpy, from the
-n first rows the head left built.  ``_first_mask_pairs`` turns the rows
-into one bit plane per color and, from those, into pair bitsets over
-64-center words, the busiest centers in the first word;
-``_unsettled_triples`` ANDs the first word over a block of triples in
-one fused pass and reads each later word only for the triples still
-open.  Only the sets they leave open reach the exact tests, in
-lexicographic order, so verdicts and first failing sets are unchanged,
-and exact reach rows are started only for those: a passing 8x8 grid
-starts none, at k=2 or k=3.  A triple they leave open is tried once
-more before it starts or grows rows of its own, at the source s of
-each exact row already started (``_source_hit``): a row of s holds the
-masks of real rainbow paths from s, however far it is grown, so
-pairwise-disjoint masks at the three terminals are three color-disjoint
-paths from one center, a spider centred at s, and so a rainbow tree.
-The sources are tried last useful first, the one that settled the
-previous triple leading, and only triples that no started row settles
-reach the store's ``triple``.  The k=3 tests run only when more than
-n * n triples follow the head, since otherwise they would cost more
-than they settle.  The filter is the only numpy code here, and it
-imports numpy when it is first built, so k=2 verdicts, the solver's
+A verdict of ``is_k_rainbow`` passes its sets through these stages, in
+lexicographic order; each settles only sets that have a rainbow tree, so
+verdicts and first failing sets are those of the plain scan:
+
+1. First rows (``_first_row``): a level-order search that keeps one
+   state per vertex, so each mask is the color set of one real rainbow
+   path.  For k=2 the first row of a settles every pair (a, b), b > a,
+   that it reaches (``_open_pairs``).
+2. For k=3 the head triples {0, 1, c}, one c at a time as its first row
+   is built: a center where the first-row masks of the three are
+   pairwise disjoint settles the triple.
+3. The first-mask filter, that test in numpy on the rest of the triples,
+   from the n first rows the head left built (``_open_triples``):
+   ``_first_mask_pairs`` turns the rows into one bit plane per color and
+   those into pair bitsets over 64-center words, the busiest centers in
+   the first word, and ``_unsettled_triples`` ANDs the first word over a
+   block of triples in one fused pass, reading each later word only for
+   the triples still open.
+4. The started rows (``_source_hit``): an open triple is tried at the
+   source s of each exact row already started (the store's
+   ``started``), last useful first.  A row of s holds the masks of real
+   rainbow paths from s, however far it is grown, so pairwise-disjoint
+   masks at the three terminals are a spider centred at s.
+5. The store's exact tests, which start rows only for the sets left
+   open: a passing 8x8 grid starts none, at k=2 or k=3.
+
+The k=3 stages run only when more than n * n triples follow the head,
+since otherwise they would cost more than they settle.  They read a total
+coloring by ranks, the cap at the number of colors, so they run only
+in ``is_k_rainbow``: the solver's partial checks and the witness search
+go straight to the store.  The filter is the only numpy code here, and
+it imports numpy when it is first built, so k=2 verdicts, the solver's
 partial checks, k=3 verdicts that fail in the head and k=3 verdicts on
 at most 9 vertices never load it.
 """
@@ -271,7 +272,7 @@ def rainbow_reach(
     source = as_int(source, "source")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
-    _, row, _ = _reach_rows(step_table(g, coloring.colors), g.n - 1)
+    _, _, row, _ = _reach_rows(step_table(g, coloring.colors), g.n - 1)
     return [sorted(sorted(fam), key=int.bit_count) for fam in row(source)]
 
 
@@ -342,17 +343,18 @@ def _path_edges(
 
 def _reach_rows(
     steps: list[list[tuple[int, int]]], cap: int
-) -> tuple[list[Optional[list[dict[int, int]]]], Callable, Callable]:
+) -> tuple[list[Optional[list[dict[int, int]]]], list[int], Callable, Callable]:
     """The reach rows of the coloring whose step table is ``steps``
-    (``step_table``), as (rows, row, triple): the only code that starts
-    and grows rows, for every caller.  The rows read the table as it
-    stands when they grow, so it must not change while the store is in
+    (``step_table``), as (rows, started, row, triple): the only code that
+    starts and grows rows, for every caller.  The rows read the table as
+    it stands when they grow, so it must not change while the store is in
     use.
 
     Each row is started when a caller first needs it and grown (``_grow``,
     no further than ``cap``) only as far as its readers need; rows[v]
     holds its families, or None before it starts, and todo[v] the level
-    it resumes from, empty once the row is complete.  ``row(v, t)`` grows
+    it resumes from, empty once the row is complete.  started lists the
+    vertices whose rows have started, in start order.  ``row(v, t)`` grows
     v's row until fams[t] holds a mask or the search ends, and ``row(v)``
     finishes it.  ``ready(v)`` grows a row it starts until every target
     has a mask; a row already started stays as it stands.
@@ -362,19 +364,21 @@ def _reach_rows(
     hit on the finished rows, else None.  A hit is a rainbow tree however
     far its rows are grown, and None comes only from complete rows, so it
     means the set has no rainbow tree of at most ``cap`` edges.  Callers
-    may read ``rows`` (the k=3 verdict tries open triples at the sources
-    of the started rows, ``_source_hit``), but only row, ready and
-    triple start or grow them.
+    may read ``rows`` and read and reorder ``started`` (the k=3 verdict
+    tries open triples at the started sources, ``_source_hit``), but only
+    row, ready and triple start or grow rows.
     """
     n = len(steps)
     rows: list[Optional[list[dict[int, int]]]] = [None] * n
     todo: list[list[tuple[int, int]]] = [[]] * n  # the level each row resumes from
+    started: list[int] = []
 
     def row(v: int, target: Optional[int] = None) -> list[dict[int, int]]:
         fams = rows[v]
         if fams is None:
             fams, todo[v] = _start(n, v)
             rows[v] = fams
+            started.append(v)
         if todo[v] and (target is None or not fams[target]):
             todo[v] = _grow(steps, fams, todo[v], cap, target)
         return fams
@@ -387,6 +391,7 @@ def _reach_rows(
                 if level and not fams[t]:
                     level = _grow(steps, fams, level, cap, t)
             rows[v], todo[v] = fams, level
+            started.append(v)
         return fams
 
     def triple(a: int, b: int, c: int) -> Optional[tuple[int, int, int, int]]:
@@ -395,7 +400,7 @@ def _reach_rows(
             hit = _tree_center(row(a), row(b), row(c), cap)
         return hit
 
-    return rows, row, triple
+    return rows, started, row, triple
 
 
 def find_rainbow_tree(
@@ -417,7 +422,7 @@ def find_rainbow_tree(
     _require_match(g, coloring)
     s = vertex_triple(g, terminals)
     colors = _ranked(coloring.colors)
-    rows, _, triple = _reach_rows(step_table(g, colors), len(set(colors)))
+    rows, _, _, triple = _reach_rows(step_table(g, colors), len(set(colors)))
     hit = triple(*s)
     if hit is None:
         return None
@@ -595,120 +600,75 @@ def _unsettled_triples(pair: np.ndarray) -> Iterator[tuple[int, int, int]]:
         a0 += step
 
 
+def _open_pairs(steps: list[list[tuple[int, int]]]) -> Iterator[tuple[int, int]]:
+    """Every pair (a, b), a < b, in lexicographic order, that the first
+    row of a (``_first_row``) misses; a pair it reaches has a rainbow
+    path, the one whose color set the row holds."""
+    n = len(steps)
+    for a in range(n - 1):
+        first = _first_row(steps, n, a)
+        for b in range(a + 1, n):
+            if first[b] < 0:
+                yield a, b
+
+
+def _open_triples(
+    steps: list[list[tuple[int, int]]], cap: int
+) -> Iterator[tuple[int, int, int]]:
+    """Every triple, in lexicographic order, that first rows leave open,
+    on a total coloring by ranks 0..cap-1: the head triples {0, 1, c}
+    that no center of the first rows of 0, 1 and c settles, built one c
+    at a time, then the rest that the first-mask filter leaves open, from
+    the n first rows the head left built."""
+    n = len(steps)
+    first = [_first_row(steps, n, v) for v in (0, 1)]
+    centers = [(x, a | b) for x, (a, b) in enumerate(zip(*first))
+               if a >= 0 and b >= 0 and not a & b]
+    for c in range(2, n):
+        fc = _first_row(steps, n, c)
+        first.append(fc)
+        # ab is never 0, so a missing path (-1) clashes with it
+        if all(ab & fc[x] for x, ab in centers):
+            yield 0, 1, c
+    # reached only once every triple of the head has passed
+    pair = _first_mask_pairs(first, cap - 1)
+    yield from dropwhile(lambda t: t[:2] == (0, 1), _unsettled_triples(pair))
+
+
 def _source_hit(
     rows: list[Optional[list[dict[int, int]]]],
-    sources: list[int],
+    started: list[int],
     t: tuple[int, int, int],
     cap: int,
 ) -> bool:
-    """Whether the row of some source s in ``sources`` (started rows of
-    the store ``rows``) holds pairwise-disjoint masks at the three
+    """Whether the row of some source s in ``started`` (the started rows
+    of the store ``rows``) holds pairwise-disjoint masks at the three
     vertices of t: ``_tree_center`` on rows of the one center s.  A row
     of s holds the masks of real rainbow paths from s, however far it is
     grown, so three disjoint ones are a rainbow tree centred at s.  The
     sources are tried in order, and the one that hits moves to the
-    front."""
+    front, so they are tried the most recently useful first."""
     a, b, c = t
-    for i, s in enumerate(sources):
+    for i, s in enumerate(started):
         fams = rows[s]
         if _tree_center((fams[a],), (fams[b],), (fams[c],), cap) is not None:
             if i:
-                sources.insert(0, sources.pop(i))
+                started.insert(0, started.pop(i))
             return True
     return False
 
 
-def _open_at_sources(
-    triples: Iterator[tuple[int, int, int]],
-    rows: list[Optional[list[dict[int, int]]]],
-    cap: int,
-) -> Iterator[tuple[int, int, int]]:
-    """The triples of ``triples``, in order, that no started row of the
-    store ``rows`` settles (``_source_hit``).  Its consumer makes the rows
-    of each triple it is given ready before it asks for the next, so
-    those rows then join the sources, at the end; a source moves to the
-    front when it settles a triple, so the sources are tried the most
-    recently useful first."""
-    sources: list[int] = []
-    for t in triples:
-        if not _source_hit(rows, sources, t, cap):
-            yield t
-            sources.extend(v for v in t if v not in sources)
-
-
 def _first_bad_set(
-    steps: list[list[tuple[int, int]]],
-    order: int | Iterable[tuple[int, ...]],
-    cap: int,
+    store: tuple, order: Iterable[tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
-    """First pair or triple of ``order`` with no rainbow tree of at most
-    ``cap`` edges, or None, on the coloring whose step table is
-    ``steps`` (``step_table``).  An int ``order`` is the set size k (2 or
-    3) and stands for every k-set in lexicographic order, the check of
-    ``is_k_rainbow``; it needs a total coloring by ranks 0..cap-1, so
-    that cap is the number of colors.
-
-    The rows come from one store (``_reach_rows``), started when a set
-    first needs them and grown only as far as the sets that read them
-    need.  A pair (a, b), in either orientation, grows the row of
+    """First pair or triple of ``order`` with no rainbow tree, or None:
+    the one scan loop, of the verdicts and the solver's partial checks,
+    on the rows of the store ``store`` (``_reach_rows``) and no longer
+    than its cap.  A pair (a, b), in either orientation, grows the row of
     min(a, b) until fams[max] holds a mask or the search ends, and fails
     when it is still empty.  A triple fails when the store's one triple
-    test, ``triple``, finds no center even on complete rows.
-
-    With an int ``order`` the first rows (``_first_row``) settle sets
-    before any exact row starts, reading the same table.  For k=2
-    the first row of each a settles every pair (a, b), b > a, whose
-    first-row mask is not -1: it is the color set of a real rainbow
-    path.  For k=3, if more than n * n triples follow the n - 2 triples
-    {0, 1, c} (fewer cost the loop less than building the filter's
-    n * n entries), the scan first builds the first rows of 0 and 1,
-    then that of each c in turn, and a head triple {0, 1, c} reaches
-    the loop only when no center holds three pairwise-disjoint
-    first-row masks; so a coloring that fails among them starts only
-    the reach rows it needs.  The head leaves all n first rows built,
-    which is all that the first-mask filter needs: the rest of the
-    triples pass through ``_unsettled_triples``.  A triple still open,
-    head or not, is tried at the sources of the rows already started
-    (``_source_hit``), last useful first, and reaches the loop only when
-    none of them settles it: the row of s holds masks of real rainbow
-    paths from s, so pairwise-disjoint masks at a, b and c are a rainbow
-    tree centred at s.  Only the sets left open reach the loop, still in
-    lexicographic order, and first rows and started rows settle only
-    sets that have a rainbow tree, so verdicts and first failing sets
-    are those of the plain loop; partial colorings, other orders and
-    scans of at most n * n triples past the head never meet them.
-    """
-    n = len(steps)
-    rows, row, triple = _reach_rows(steps, cap)
-
-    def open_pairs() -> Iterator[tuple[int, int]]:
-        for a in range(n - 1):
-            first = _first_row(steps, n, a)
-            for b in range(a + 1, n):
-                if first[b] < 0:
-                    yield a, b
-
-    def open_triples() -> Iterator[tuple[int, int, int]]:
-        first = [_first_row(steps, n, v) for v in (0, 1)]
-        centers = [(x, a | b) for x, (a, b) in enumerate(zip(*first))
-                   if a >= 0 and b >= 0 and not a & b]
-        for c in range(2, n):
-            fc = _first_row(steps, n, c)
-            first.append(fc)
-            # ab is never 0, so a missing path (-1) clashes with it
-            if all(ab & fc[x] for x, ab in centers):
-                yield 0, 1, c
-        # reached only once every triple of the head has passed
-        pair = _first_mask_pairs(first, cap - 1)
-        yield from dropwhile(lambda t: t[:2] == (0, 1), _unsettled_triples(pair))
-
-    if isinstance(order, int):
-        if order == 2:
-            order = open_pairs()
-        elif comb(n, 3) - (n - 2) <= n * n:
-            order = combinations(range(n), 3)
-        else:
-            order = _open_at_sources(open_triples(), rows, cap)
+    test, ``triple``, finds no center even on complete rows."""
+    _, _, row, triple = store
     for vs in order:
         if len(vs) == 2:
             a, b = vs if vs[0] < vs[1] else vs[::-1]
@@ -736,16 +696,27 @@ def is_k_rainbow(
     rainbow path, i.e. rainbow connectivity).
 
     The failing verdict carries the lexicographically first bad set.
-    The k-sets are scanned in lexicographic order (``_first_bad_set``
-    with order k), first rows settling most of them before any exact
-    reach row starts.
+    The k-sets are scanned in lexicographic order: the settling stages
+    of the module docstring (``_open_pairs``, or behind the size gate
+    ``_open_triples`` and ``_source_hit``) build the order, and the scan
+    loop (``_first_bad_set``) tests only the sets they leave open.
     """
     k = as_k(k)
     _require_match(g, coloring)
     if not is_connected(g):
         raise ValueError("k-rainbow checking requires a connected graph")
     colors = _ranked(coloring.colors)
-    bad = _first_bad_set(step_table(g, colors), k, len(set(colors)))
+    steps, cap, n = step_table(g, colors), len(set(colors)), g.n
+    store = _reach_rows(steps, cap)
+    if k == 2:
+        order = _open_pairs(steps)
+    elif comb(n, 3) - (n - 2) <= n * n:
+        order = combinations(range(n), 3)
+    else:
+        rows, started = store[:2]
+        order = (t for t in _open_triples(steps, cap)
+                 if not _source_hit(rows, started, t, cap))
+    bad = _first_bad_set(store, order)
     return Verdict(bad is None, bad)
 
 
@@ -756,8 +727,9 @@ def partial_failure(
 ) -> Optional[tuple[int, ...]]:
     """Optimistic check for a partially colored graph, given by its step
     table (``step_table``), where an uncolored edge is a step of bit 0.
-    Returns the first set of ``order`` (pairs and triples, in the one
-    scan ``is_k_rainbow`` runs) that no completion of the coloring with
+    Returns the first set of ``order`` (pairs and triples, in the scan
+    loop ``_first_bad_set`` that ``is_k_rainbow`` runs too, with no
+    settling stage in front) that no completion of the coloring with
     at most ``palette`` colors can give a rainbow tree, or None if no set
     is ruled out.  The solver keeps one table per palette and updates it
     in place as it colors and uncolors edges; the check only reads it.
@@ -775,5 +747,4 @@ def partial_failure(
     the search keeps for a partial coloring need not be antichains: a
     longer path may bear fewer colors.
     """
-    cap = min(palette, len(steps) - 1)
-    return _first_bad_set(steps, order, cap)
+    return _first_bad_set(_reach_rows(steps, min(palette, len(steps) - 1)), order)

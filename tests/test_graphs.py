@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations, product
 from math import prod
 
@@ -27,6 +28,7 @@ from rainbowindex import (
 )
 from rainbowindex.graphs import (
     automorphism_transversal,
+    bfs,
     graph_from_json_dict,
     graph_to_json_dict,
     product_vertex_labels,
@@ -357,6 +359,63 @@ def test_automorphism_transversal_against_brute_force(g):
             assert image[:i] == list(range(i))
             assert all(g.has_edge(image[u], image[v]) for u, v in g.edges)
     assert prod(1 + len(level) for level in levels) == automorphism_count_brute(g)
+
+
+def recursive_transversal(g):
+    """automorphism_transversal as one recursive call per placed vertex:
+    the reference whose maps the explicit-stack search must give."""
+    n = g.n
+    dist = [bfs(g, v)[1] for v in range(n)]
+    cell = [sorted(row) for row in dist]
+    image = list(range(n))
+    used = [False] * n
+
+    def fits(w, x):
+        return cell[x] == cell[w] and all(dist[w][u] == dist[x][image[u]] for u in range(w))
+
+    def place(w):
+        if w == n:
+            return True
+        for x in range(n):
+            if not used[x] and fits(w, x):
+                image[w] = x
+                used[x] = True
+                if place(w + 1):
+                    return True
+                used[x] = False
+        return False
+
+    levels = []
+    for i in range(n):
+        image[:i] = range(i)
+        level = []
+        for v in range(i + 1, n):
+            if fits(i, v):
+                image[i] = v
+                used[:] = [u < i or u == v for u in range(n)]
+                if place(i + 1):
+                    level.append(image[:])
+        levels.append(level)
+    return levels
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_automorphism_transversal_matches_the_recursive_search(g):
+    assert automorphism_transversal(g) == recursive_transversal(g)
+
+
+def test_automorphism_transversal_needs_no_recursion_depth():
+    # the search keeps its own stack, so a 300-vertex path, whose maps
+    # place 300 vertices each, needs no deeper recursion than a small one
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        levels = automorphism_transversal(path(300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [len(level) for level in levels] == [1] + [0] * 299
+    assert levels[0][0] == list(range(299, -1, -1))
 
 
 def test_automorphism_transversal_known_groups():

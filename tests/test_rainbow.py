@@ -299,7 +299,7 @@ def test_rainbow_tree_where_paths_meet_away_from_center():
         assert is_rainbow_tree_through(g, c, s, tree)
     # the second instance's paths, walked on the rows its witness read
     colors = _ranked(c.colors)
-    rows, _, triple = _reach_rows(step_table(g, colors), len(set(colors)))
+    rows, _, _, triple = _reach_rows(step_table(g, colors), len(set(colors)))
     center, *masks = triple(*s)
     paths = [list(_path_edges(g, colors, rows[v], center, m)) for v, m in zip(s, masks)]
     assert sum(map(len, paths)) > len(tree)
@@ -955,7 +955,7 @@ def test_started_sources_settle_only_triples_with_rainbow_trees(monkeypatch):
             c = EdgeColoring(tuple(colors), palette)
         ranked = _ranked(c.colors)
         cap = len(set(ranked))
-        want = _first_bad_set(step_table(g, ranked), combinations(range(n), 3), cap)
+        want = _first_bad_set(_reach_rows(step_table(g, ranked), cap), combinations(range(n), 3))
         settled.clear()
         assert is_k_rainbow(g, c, 3) == Verdict(want is None, want)
         assert all(has_rainbow_tree_brute(g, c, t) for t in settled)
@@ -1004,6 +1004,38 @@ def test_started_sources_cut_the_rows_a_verdict_starts(monkeypatch):
     assert res.nodes_explored == 16_415 and len(started) == 41_347
 
 
+def test_settling_stages_run_only_in_verdicts(monkeypatch):
+    # first rows, the first-mask filter and the started-row test read a
+    # total coloring by ranks with the cap at the number of colors, so
+    # only is_k_rainbow builds an order from them: the solver's partial
+    # checks, the witness search and the reach rows never run them
+    g, c = cycle(7), EdgeColoring((0, 1, 2, 0, 1, 2, 3), 4)
+    steps = step_table(g, [0, None, 1, None, 0, 2, None])
+    order = [(3, 0), (0, 2, 5), (6, 1), (1, 3, 5), (2, 4, 6), (0, 1, 2)]
+    checks = [(order[i:], p) for i in range(len(order)) for p in (2, 3, 6)]
+    want_partial = [partial_failure(steps, o, p) for o, p in checks]
+    assert len(set(want_partial)) > 2
+    want_reach = [rainbow_reach(g, c, v) for v in range(g.n)]
+    k6, k8 = complete(6), complete(8)
+    want_k6 = rx_exact(k6, 2)
+
+    def banned(*args):
+        raise AssertionError("a settling stage ran outside is_k_rainbow")
+
+    for name in ("_first_row", "_first_mask_pairs", "_unsettled_triples", "_source_hit"):
+        monkeypatch.setattr(rainbow, name, banned)
+    c8 = EdgeColoring(tuple(range(k8.m)), k8.m)
+    with pytest.raises(AssertionError, match="settling stage"):
+        is_k_rainbow(k8, c8, 2)
+    assert [partial_failure(steps, o, p) for o, p in checks] == want_partial
+    assert [rainbow_reach(g, c, v) for v in range(g.n)] == want_reach
+    for s in combinations(range(k8.n), 3):
+        assert is_rainbow_tree_through(k8, c8, s, find_rainbow_tree(k8, c8, s))
+    assert rx_exact(k6, 2) == want_k6
+    res = rx_exact(cartesian_product(cycle(5), path(2))[0], 3)
+    assert (res.exact, res.value, res.nodes_explored) == (True, 4, 16_415)
+
+
 def test_first_row_stop_keeps_the_row():
     # _first_row stops once every vertex holds a mask; the same search run
     # until its levels run out gives the same row
@@ -1044,10 +1076,10 @@ def grown_row(g, colors, source, targets, cap):
 
 def test_grown_rows_give_the_verdicts_of_complete_rows():
     # the scan grows rows until every target has a mask and finishes them
-    # only for triples that fail there; both the k=3 verdict (order 3)
+    # only for triples that fail there; both the k=3 verdict
     # and the explicit order of every triple return the first triple whose
     # complete rows give no center, on both sides of the first-mask
-    # filter's size gate (n >= 10), and the k=2 verdict (order 2) the
+    # filter's size gate (n >= 10), and the k=2 verdict the
     # first pair with no path.  A pairs-first order grows rows for its
     # pairs that its triples then finish; complete rows give its answer
     # too.
@@ -1070,9 +1102,9 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
             return _tree_center(*(complete[v] for v in s), cap) is None
 
         want = next((t for t in triples if fails(t)), None)
-        assert _first_bad_set(steps, triples, cap) == want
-        assert _first_bad_set(steps, 3, cap) == want
-        assert _first_bad_set(steps, 2, cap) == next(
+        assert _first_bad_set(_reach_rows(steps, cap), triples) == want
+        assert is_k_rainbow(g, EdgeColoring(tuple(colors), cap), 3) == Verdict(want is None, want)
+        assert is_k_rainbow(g, EdgeColoring(tuple(colors), cap), 2).failing == next(
             (p for p in combinations(range(n), 2) if fails(p)), None
         )
         seen["pass" if want is None else "head" if want[:2] == (0, 1) else "late"] += 1
@@ -1089,7 +1121,7 @@ def test_grown_rows_give_the_verdicts_of_complete_rows():
         rng.shuffle(pairs)
         rng.shuffle(triples)
         order = pairs + triples
-        assert _first_bad_set(steps, order, cap) == next(
+        assert _first_bad_set(_reach_rows(steps, cap), order) == next(
             (s for s in order if fails(s)), None
         )
     assert min(seen.values()) > 0, seen
