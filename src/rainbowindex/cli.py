@@ -242,9 +242,8 @@ def cmd_sdiam(args: argparse.Namespace, run: _Run) -> int:
     records = steiner.steiner_records(g) if args.triples else []
     for record in records:
         print(json.dumps(record, sort_keys=True))
-    # the records already hold every triple's value; below 3 vertices
-    # there are none and sdiam3 refuses the graph
-    value = max(r["d"] for r in records) if records else steiner.sdiam3(g)
+    # the records already hold every triple's value
+    value = max(r["d"] for r in records) if args.triples else steiner.sdiam3(g)
     obj = {"sdiam3": value}
     run.write(args.output, obj)
     _print_json(obj)

@@ -6,8 +6,8 @@ centers v of d(v,a) + d(v,b) + d(v,c).  Everything here exploits that
 identity; it does not hold for four or more terminals.  Every distance
 comes from ``graphs.bfs``, the one breadth-first search, and the witness
 paths of ``steiner_distance_3`` walk down the terminals' own BFS rows.
-``_steiner_values`` takes the minimum over centers for batches of
-3-sets; ``steiner_distance_3`` takes the argmin for a single set.
+``_exact`` takes the minimum over centers for batches of 3-sets;
+``steiner_distance_3`` takes the argmin for a single set.
 
 With S = d(a,b) + d(a,c) + d(b,c), every 3-set has two bounds that cost
 O(1) from the distance matrix:
@@ -19,22 +19,26 @@ O(1) from the distance matrix:
   as long as the distance, so the Steiner distance is at least
   L = ceil(S / 2).
 
-``sdiam3`` needs only the maximum, so it computes exact values only for
-the 3-sets whose U can still beat the best value known (``sdiam3``
-gives the argument).  ``steiner_records`` needs every value and reads
-them blockwise, one block per pair of first terminals.  Working memory
-is O(n^2) in both.
+One kernel reads the 3-sets {a, b, c} by chunks of first vertices
+a0..a0+step-1 against all b, c > a0: a (step, m, m) cube, m = n-a0-1,
+with step * m * m within ``_STEP_ELEMENTS`` unless step = 1, so working
+memory is O(n^2).  ``steiner_records`` reads every 3-set of each chunk;
+``sdiam3`` computes exact values only for the 3-sets whose U can beat
+the best value known.  Its bound pass needs no mask: an entry with
+b < a is another 3-set, and one with a repeated vertex has L = U = one
+distance, at most sdiam3, so it can weaken pruning but never lift the
+largest L past the answer.
 
 numpy is imported inside the functions that run numpy code
-(``all_pairs_distances`` and the Steiner pass behind ``sdiam3`` and
-``steiner_records``), so importing this module loads none; ``diameter``
-and ``steiner_distance_3`` work on BFS rows and never load it.
+(``all_pairs_distances`` and the kernel), so importing this module
+loads none; ``diameter`` and ``steiner_distance_3`` work on BFS rows and
+never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .graphs import Graph, bfs, is_connected, vertex_triple
 
@@ -107,97 +111,92 @@ def steiner_distance_3(g: Graph, terminals: Iterable[int]) -> SteinerResult:
     return SteinerResult(best_sum, witness, center)
 
 
-# Array elements in one numpy step of sdiam3's exact evaluations: this
-# bounds its working memory, never its result.
-_STEP_ELEMENTS = 1 << 13
+# Array elements in a chunk and in a slice of exact values: this bounds
+# the kernel's working memory, never a result.
+_STEP_ELEMENTS = 1 << 15
 
 
 def _distance_matrix(g: Graph) -> np.ndarray:
-    """Distances of a connected graph, as the smallest signed integer
-    type that holds the sum of three of them."""
+    """Distances of a graph with a 3-set, as the smallest signed type
+    that holds the sum of three; checks n, then connectivity."""
     import numpy as np
 
+    if g.n < 3:
+        raise ValueError(f"sdiam3 needs at least 3 vertices, got {g.n}")
     if not is_connected(g):
         raise ValueError("Steiner distances require a connected graph")
     return all_pairs_distances(g).astype(np.min_scalar_type(-3 * g.n))
 
 
-def _steiner_values(d: np.ndarray, a: int, b, c) -> np.ndarray:
-    """Steiner distances of the 3-sets {a, b[i], c[i]}: the minimum over
-    centers x of d[a, x] + d[b, x] + d[c, x].  ``b`` and ``c`` index rows
-    of ``d`` and broadcast against each other."""
-    return (d[c] + (d[a] + d[b])).min(axis=1)
+def _chunks(n: int) -> Iterator[tuple[int, int]]:
+    """(a0, step) of every chunk (module docstring), in order."""
+    a0 = 0
+    while a0 < n - 2:
+        step = min(max(1, _STEP_ELEMENTS // (n - a0 - 1) ** 2), n - 2 - a0)
+        yield a0, step
+        a0 += step
 
 
-def _terminal_bounds(d: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """S and U (module docstring) of the 3-sets {a, b, c} with b, c > a,
-    as m x m blocks whose entry [i, j] has b = a+1+i and c = a+1+j.
-
-    Only the entries i < j are 3-sets.  The blocks are symmetric, and by
-    the triangle inequality no diagonal entry (S = 2 d(a,b), U = d(a,b))
-    exceeds the other entries of its row, so a block's maximum is that
-    of its 3-sets.
-    """
+def _bounds(d: np.ndarray, a0: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """S and U of a chunk's cube, whose entry [i, j, k] is
+    {a0+i, a0+1+j, a0+1+k}, a 3-set a < b < c when i <= j < k."""
     import numpy as np
 
-    da = d[a, a + 1 :]
-    rest = d[a + 1 :, a + 1 :]
-    total = da[:, None] + da
+    da, rest = d[a0 : a0 + step, a0 + 1 :], d[a0 + 1 :, a0 + 1 :]
+    total = da[:, :, None] + da[:, None]
     total += rest
-    upper = np.maximum(da[:, None], da)
+    upper = np.maximum(da[:, :, None], da[:, None])
     np.maximum(upper, rest, out=upper)
-    np.subtract(total, upper, out=upper)
-    return total, upper
+    return total, np.subtract(total, upper, out=upper)
+
+
+def _exact(d: np.ndarray, a0: int, step: int, keep=True) -> tuple[np.ndarray, ...]:
+    """The 3-sets of a chunk's cube (``_bounds``) that ``keep`` selects,
+    as arrays (a, b, c, min over centers x of d[a,x] + d[b,x] + d[c,x]),
+    in lexicographic order."""
+    import numpy as np
+
+    m = len(d) - a0 - 1
+    j = np.arange(m)
+    keep = keep & (np.arange(step)[:, None] <= j)[:, :, None] & (j[:, None] < j)
+    q, c = np.divmod(np.flatnonzero(keep), m)
+    a, b = np.divmod(q, m)
+    a, b, c = a + a0, b + a0 + 1, c + a0 + 1
+    rows = max(1, _STEP_ELEMENTS // len(d))
+    vals = [(d[a[i : i + rows]] + d[b[i : i + rows]] + d[c[i : i + rows]]).min(axis=1)
+            for i in range(0, len(a), rows)]
+    return a, b, c, np.concatenate(vals or [d[:0, 0]])
 
 
 def sdiam3(g: Graph) -> int:
     """Maximum Steiner distance over all 3-sets of vertices.
 
-    Bound and verify, with the bounds L <= Steiner distance <= U of the
-    module docstring.  ``best`` starts at the largest L, which is at
-    most the Steiner distance of its 3-set, and afterwards rises only to
-    exact values, so it never exceeds the answer.  A 3-set with
-    U <= best cannot beat ``best`` and is skipped; once every 3-set is
-    evaluated or skipped, ``best`` is the answer.  The blocks of first
-    vertex a are visited by decreasing largest U, the first block whose
-    largest U is <= best ends the search, and inside a block only the
-    3-sets with U > best get the exact minimum over centers.
+    Bound and verify.  A first pass over the chunks keeps each chunk's
+    largest U and sets ``best`` to the largest L, at most the answer; it
+    rises later only to exact values.  The second visits chunks by
+    decreasing largest U until one is <= best, and in a chunk only the
+    3-sets that can beat ``best``, those with U > best, get exact values.
     """
-    import numpy as np
-
-    if g.n < 3:
-        raise ValueError(f"sdiam3 needs at least 3 vertices, got {g.n}")
     d = _distance_matrix(g)
-    first = range(g.n - 2)
-    block_max = []
-    best = 0
-    for a in first:
-        total, upper = _terminal_bounds(d, a)
-        block_max.append(int(upper.max()))
+    tops, best = [], 0
+    for a0, step in _chunks(g.n):
+        total, upper = _bounds(d, a0, step)
+        tops.append((int(upper.max()), a0, step))
         best = max(best, (int(total.max()) + 1) // 2)
-    step = max(1, _STEP_ELEMENTS // g.n)
-    for a in sorted(first, key=lambda a: -block_max[a]):
-        if block_max[a] <= best:
+    for top, a0, step in sorted(tops, key=lambda t: -t[0]):
+        if top <= best:
             break
-        b, c = np.nonzero(np.triu(_terminal_bounds(d, a)[1] > best, 1))
-        b += a + 1
-        c += a + 1
-        for i in range(0, len(b), step):
-            vals = _steiner_values(d, a, b[i : i + step], c[i : i + step])
-            best = max(best, int(vals.max()))
+        vals = _exact(d, a0, step, _bounds(d, a0, step)[1] > best)[3]
+        best = max(best, int(vals.max(initial=0)))
     return best
 
 
 def steiner_records(g: Graph) -> list[dict]:
     """Per-triple Steiner values as JSON-ready records, triples in
-    lexicographic order: one block per pair a < b, holding the 3-sets
-    {a, b, c} for every c > b."""
+    lexicographic order, read chunk by chunk."""
     d = _distance_matrix(g)
     records = []
-    for a in range(g.n - 2):
-        for b in range(a + 1, g.n - 1):
-            vals = _steiner_values(d, a, b, slice(b + 1, None)).astype(int).tolist()
-            records += (
-                {"triple": [a, b, c], "d": val} for c, val in enumerate(vals, start=b + 1)
-            )
+    for a0, step in _chunks(g.n):
+        a, b, c, vals = (x.tolist() for x in _exact(d, a0, step))
+        records += ({"triple": [x, y, z], "d": v} for x, y, z, v in zip(a, b, c, vals))
     return records

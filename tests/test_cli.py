@@ -333,6 +333,23 @@ def test_sdiam_triples_takes_the_value_from_its_records(tmp_path, capsys, monkey
     assert code == 0 and out.endswith('{\n  "sdiam3": 4\n}\n')
 
 
+@pytest.mark.parametrize(
+    "graph",
+    ['{"n": 0, "edges": []}', '{"n": 2, "edges": []}', '{"n": 4, "edges": [[0, 1]]}'],
+    ids=["no-vertex", "two-vertices", "disconnected"],
+)
+def test_sdiam_and_triples_report_the_same_error(tmp_path, capsys, graph):
+    # one input check for both: the vertex count, then connectivity
+    g = tmp_path / "g.json"
+    g.write_text(graph)
+    errors = []
+    for argv in (["sdiam", "--graph", str(g)], ["sdiam", "--graph", str(g), "--triples"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "" and "Traceback" not in err
+        errors.append(json.loads(err.strip().splitlines()[-1]))
+    assert errors[0] == errors[1]
+
+
 def test_sdiam_records_disconnected_exits_4(tmp_path, capsys):
     g = tmp_path / "g.json"
     g.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')

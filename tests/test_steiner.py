@@ -241,6 +241,44 @@ def test_sdiam3_equals_full_blocks_where_bounds_tie():
         assert sdiam3(g) == full, g
 
 
+def _records_per_pair(g):
+    # one block of values per pair a < b, for every c > b
+    d = all_pairs_distances(g).astype(int)
+    return [
+        {"triple": [a, b, c], "d": int(v)}
+        for a in range(g.n - 2)
+        for b in range(a + 1, g.n - 1)
+        for c, v in zip(range(b + 1, g.n), (d[b + 1 :] + d[a] + d[b]).min(axis=1))
+    ]
+
+
+def test_sdiam3_is_exact_across_chunks():
+    # C_n has sdiam3 n - ceil(n/3) and a grid the sum of (d_i - 1); the
+    # graphs run from one chunk of first vertices to one first vertex a
+    # chunk, and the random ones are checked against their records only
+    for n in range(30, 131):
+        assert sdiam3(cycle(n)) == n - -(-n // 3), n
+    grids = [(8, 8), (5, 5, 3), (4, 4, 4), (6, 7)]
+    for dims in grids:
+        assert sdiam3(_grid(dims)) == sum(dims) - len(dims), dims
+    # in two of these G(n, 4/n) the maximum lies past the chunk whose
+    # largest U leads the second pass
+    rng = random.Random(11)
+    graphs = [cycle(n) for n in (30, 47, 96, 130)] + [_grid(dims) for dims in grids]
+    graphs += [_connected_gnp(rng, rng.randrange(30, 81)) for _ in range(12)]
+    for g in graphs:
+        assert sdiam3(g) == max(r["d"] for r in steiner_records(g)), g
+
+
+def test_steiner_records_match_a_per_pair_reference():
+    rng = random.Random(11)
+    for g in (_grid((6, 7)), _grid((4, 4, 4)), cycle(57), _connected_gnp(rng, 50)):
+        records = steiner_records(g)
+        assert records == _records_per_pair(g)
+        assert all(type(r["d"]) is int and all(type(v) is int for v in r["triple"])
+                   for r in records)
+
+
 def test_sdiam3_errors():
     with pytest.raises(ValueError):
         sdiam3(path(2))
@@ -255,6 +293,18 @@ def test_sdiam3_memory_stays_quadratic():
     tracemalloc.start()
     try:
         assert sdiam3(cycle(150)) == 100
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_sdiam3_memory_stays_quadratic_on_a_288_vertex_grid():
+    # the first chunks hold one first vertex against a 287 x 287 square
+    g = _grid((12, 12, 2))
+    tracemalloc.start()
+    try:
+        assert sdiam3(g) == 23
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
